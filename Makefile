@@ -132,11 +132,19 @@ serve-smoke:
 # `make corpus-smoke` compiles the committed big-circuit corpus
 # (examples/circuits/corpus) twice through the overlapped batch driver:
 # pass 1 must finish with zero degradations, pass 2 must be served
-# entirely from the warm shared synthesis cache (hits > 0, misses = 0).
+# entirely from the warm shared synthesis cache (hits > 0, misses = 0),
+# and no circuit may come out with more CNOTs than it went in with
+# (approx_cnots <= cnots on every per-circuit line).
 # -samples 4 keeps it CI-cheap; the full numbers come from bench-corpus.
 corpus-smoke:
 	@out=$$($(GO) run ./cmd/quest -corpus examples/circuits/corpus -passes 2 -samples 4) || exit 1; \
 	echo "$$out" | grep '^corpus-total'; \
+	echo "$$out" | awk '/^corpus [^ ]+ pass=/ { c = a = -1; \
+		for (i = 1; i <= NF; i++) { split($$i, kv, "="); \
+			if (kv[1] == "cnots") c = kv[2] + 0; if (kv[1] == "approx_cnots") a = kv[2] + 0 } \
+		n++; if (c < 0 || a < 0 || a > c) { print "corpus-smoke: " $$2 " " $$3 " approx_cnots=" a " > cnots=" c; bad = 1 } } \
+		END { exit bad || n == 0 }' || \
+		{ echo "corpus-smoke: a circuit came out with more CNOTs than it went in with"; exit 1; }; \
 	echo "$$out" | grep '^corpus-total' | grep 'pass=1 ' | grep -q 'degradations=0 ' || \
 		{ echo "corpus-smoke: pass 1 had degradations"; exit 1; }; \
 	echo "$$out" | grep '^corpus-total' | grep 'pass=2 ' | \

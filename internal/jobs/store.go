@@ -72,13 +72,21 @@ func (s *store) load(key string) (*pipeline.SynthesisArtifact, error) {
 
 // save writes the artifact under key: tmp file, fsync, atomic rename —
 // a crash mid-save can never leave a torn artifact under a live key.
+// Every save writes its own uniquely named tmp file, so two concurrent
+// misses of one circuit both succeed; the later rename wins with an
+// equally intact artifact.
 func (s *store) save(key string, art *pipeline.SynthesisArtifact) error {
 	if err := faultinject.Fire("jobs.artifact.write"); err != nil {
 		return fmt.Errorf("jobs: write artifact: %w", err)
 	}
-	tmp := s.path(key) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.CreateTemp(s.dir, "art-"+key+".*.tmp")
 	if err != nil {
+		return fmt.Errorf("jobs: write artifact: %w", err)
+	}
+	tmp := f.Name()
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return fmt.Errorf("jobs: write artifact: %w", err)
 	}
 	if err := art.Save(f); err != nil {

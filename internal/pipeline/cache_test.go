@@ -1,10 +1,14 @@
 package pipeline
 
 import (
+	"context"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/circuit"
+	"repro/internal/partition"
 	"repro/internal/ucache"
 )
 
@@ -13,39 +17,80 @@ import (
 // cache exists for.
 
 func TestRunWithCacheMatchesWithout(t *testing.T) {
-	c := algos.TFIM(4, 3, 0.1, 1, 1)
-	cfg := testConfig()
-	cold, err := Run(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SynthCache = ucache.New(64, 0)
-	cached, err := Run(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cached.Selected) != len(cold.Selected) {
-		t.Fatalf("cache changed sample count: %d vs %d", len(cached.Selected), len(cold.Selected))
-	}
-	for i := range cold.Selected {
-		a, b := cold.Selected[i], cached.Selected[i]
-		if a.CNOTs != b.CNOTs || a.EpsilonSum != b.EpsilonSum {
-			t.Errorf("sample %d: cached (%d, %g) != uncached (%d, %g)",
-				i, b.CNOTs, b.EpsilonSum, a.CNOTs, a.EpsilonSum)
-		}
-		for k := range a.Choice {
-			if a.Choice[k] != b.Choice[k] {
-				t.Fatalf("sample %d block %d: cached choice %d != uncached %d",
-					i, k, b.Choice[k], a.Choice[k])
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{
+		{"tfim", algos.TFIM(4, 3, 0.1, 1, 1)},
+		{"rotation-only-block", rotationOnlyBlockCircuit(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cold, err := RunCtx(context.Background(), tc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cfg.SynthCache = ucache.New(64, 0)
+			cached, err := RunCtx(context.Background(), tc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cached.Selected) != len(cold.Selected) {
+				t.Fatalf("cache changed sample count: %d vs %d", len(cached.Selected), len(cold.Selected))
+			}
+			for i := range cold.Selected {
+				a, b := cold.Selected[i], cached.Selected[i]
+				if a.CNOTs != b.CNOTs || math.Float64bits(a.EpsilonSum) != math.Float64bits(b.EpsilonSum) {
+					t.Errorf("sample %d: cached (%d, %v) != uncached (%d, %v)",
+						i, b.CNOTs, b.EpsilonSum, a.CNOTs, a.EpsilonSum)
+				}
+				if len(a.Choice) != len(b.Choice) {
+					t.Fatalf("sample %d: cached has %d blocks, uncached %d", i, len(b.Choice), len(a.Choice))
+				}
+				for k := range a.Choice {
+					if a.Choice[k] != b.Choice[k] {
+						t.Fatalf("sample %d block %d: cached choice %d != uncached %d",
+							i, k, b.Choice[k], a.Choice[k])
+					}
+				}
+			}
+			if cached.CacheStats.Misses == 0 {
+				t.Error("cached run recorded no misses")
+			}
+			if cold.CacheStats != (ucache.Stats{}) {
+				t.Errorf("uncached run reported cache stats %+v", cold.CacheStats)
+			}
+		})
+	}
+}
+
+// rotationOnlyBlockCircuit returns a circuit whose opening layer of
+// single-qubit rotations partitions into a 3-qubit block with no CNOTs,
+// which the pipeline synthesizes rotation-only (MaxCNOTs -1). Through
+// the cache that request must run the same search, not the universal
+// CNOT budget.
+func rotationOnlyBlockCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	c := circuit.New(4)
+	for q := 0; q < 4; q++ {
+		c.RY(q, 0.3+0.25*float64(q))
+		c.RZ(q, 0.9-0.2*float64(q))
+	}
+	for q := 0; q < 3; q++ {
+		c.CX(q, q+1)
+		c.RZ(q+1, 0.15*float64(q+1))
+	}
+	blocks, err := partition.Scan(c, testConfig().BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		if len(b.Qubits) == 3 && b.CNOTCount() == 0 {
+			return c
 		}
 	}
-	if cached.CacheStats.Misses == 0 {
-		t.Error("cached run recorded no misses")
-	}
-	if cold.CacheStats != (ucache.Stats{}) {
-		t.Errorf("uncached run reported cache stats %+v", cold.CacheStats)
-	}
+	t.Fatal("test circuit has no 3-qubit rotation-only block")
+	return nil
 }
 
 func TestRunCacheHitsOnRepeatedBlocksAndRuns(t *testing.T) {

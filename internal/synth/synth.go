@@ -48,7 +48,8 @@ type Options struct {
 	Threshold float64
 	// MaxCNOTs bounds the tree depth: no candidate will have more CNOTs
 	// than this. 0 selects a universal default budget for n qubits; a
-	// negative value means "no CNOT layers at all" (rotation-only seed).
+	// negative value means "no CNOT layers at all" (rotation-only seed),
+	// canonically -1.
 	MaxCNOTs int
 	// Beam is the number of tree nodes kept per depth. Default 2.
 	Beam int
@@ -82,7 +83,10 @@ type Options struct {
 // n-qubit target — the exact configuration SynthesizeCtx runs with.
 // Callers that memoize synthesis results (internal/ucache) fingerprint
 // this canonical form so that, e.g., Beam:0 and Beam:2 map to the same
-// cache entry.
+// cache entry, and then run it. Canonical is idempotent —
+// o.Canonical(n).Canonical(n) == o.Canonical(n) — so running the
+// canonical form performs the search the caller asked for. Every
+// negative MaxCNOTs canonicalizes to -1; a canonical MaxCNOTs is never 0.
 func (o Options) Canonical(n int) Options {
 	o.defaults(n)
 	return o
@@ -98,7 +102,10 @@ func (o *Options) defaults(n int) {
 		// for any n-qubit unitary; round up a little.
 		o.MaxCNOTs = (1<<(2*n))*3/4 + 1
 	case o.MaxCNOTs < 0:
-		o.MaxCNOTs = 0
+		// -1 is the canonical "no CNOT layers": it must not collapse to
+		// 0, or a second defaults pass would read it as the universal
+		// budget.
+		o.MaxCNOTs = -1
 	}
 	if o.Beam == 0 {
 		o.Beam = 2

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -259,6 +261,41 @@ func TestSynthesizeNegativeMaxCNOTs(t *testing.T) {
 	}
 	if res.Best.Distance > 1e-6 {
 		t.Errorf("separable target not reached: %g", res.Best.Distance)
+	}
+}
+
+func TestCanonicalIdempotent(t *testing.T) {
+	// A caller that memoizes on Canonical(n) and then runs that form
+	// (internal/ucache) must get the search it asked for, so a second
+	// canonicalization may change nothing. In particular the rotation-only
+	// request must not collapse to MaxCNOTs 0, the universal budget.
+	others := []Options{
+		{},
+		{
+			Threshold: 0.01, Beam: 3, ReseedEvery: 2, Restarts: 2,
+			CouplingPairs: [][2]int{{0, 1}}, HarvestAll: true, KeepPerDepth: 6,
+			Seed: 9, Strategy: StrategyAStar, NodeBudget: 12,
+		},
+	}
+	for _, maxCNOTs := range []int{-7, -1, 0, 1, 5} {
+		for i, base := range others {
+			for n := 1; n <= 3; n++ {
+				o := base
+				o.MaxCNOTs = maxCNOTs
+				t.Run(fmt.Sprintf("max%d/opts%d/n%d", maxCNOTs, i, n), func(t *testing.T) {
+					once := o.Canonical(n)
+					if twice := once.Canonical(n); !reflect.DeepEqual(twice, once) {
+						t.Errorf("Canonical not idempotent:\n once  %+v\n twice %+v", once, twice)
+					}
+					if once.MaxCNOTs == 0 {
+						t.Errorf("canonical MaxCNOTs is 0 (universal budget sentinel)")
+					}
+					if maxCNOTs < 0 && once.MaxCNOTs != -1 {
+						t.Errorf("MaxCNOTs %d canonicalized to %d, want -1", maxCNOTs, once.MaxCNOTs)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package ucache
 
 import (
+	"context"
+	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/linalg"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -214,6 +218,52 @@ func TestDefaultedOptionsShareEntries(t *testing.T) {
 	b.Beam = 2
 	if _, hit, err := c.Synthesize(target, b); err != nil || !hit {
 		t.Fatalf("explicit default Beam must hit: hit=%v err=%v", hit, err)
+	}
+}
+
+func TestRotationOnlyCacheTransparent(t *testing.T) {
+	// A rotation-only request (MaxCNOTs < 0) must run the same search
+	// through the cache as without it, on the miss and on the hit: the
+	// cache runs the canonical options, which must still forbid CNOT
+	// layers rather than fall back to the universal budget.
+	for _, n := range []int{3, 2} {
+		c := circuit.New(n)
+		for q := 0; q < n; q++ {
+			c.RZ(q, 0.3+0.2*float64(q))
+			c.RY(q, 0.7-0.1*float64(q))
+			c.RX(q, 0.4*float64(q+1))
+		}
+		target := sim.Unitary(c)
+		opts := synth.Options{MaxCNOTs: -1, HarvestAll: true, Seed: 11}
+		want, err := synth.SynthesizeCtx(context.Background(), target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := New(8, 0)
+		for _, wantHit := range []bool{false, true} {
+			got, hit, err := cache.SynthesizeCtx(context.Background(), target, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != wantHit {
+				t.Fatalf("n=%d: hit = %v, want %v", n, hit, wantHit)
+			}
+			if len(got.Candidates) != len(want.Candidates) {
+				t.Fatalf("n=%d hit=%v: %d candidates, uncached %d", n, hit, len(got.Candidates), len(want.Candidates))
+			}
+			for i, g := range got.Candidates {
+				w := want.Candidates[i]
+				if g.CNOTs != 0 {
+					t.Errorf("n=%d hit=%v: candidate %d has %d CNOTs", n, hit, i, g.CNOTs)
+				}
+				if math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+					t.Errorf("n=%d hit=%v: candidate %d distance %v, uncached %v", n, hit, i, g.Distance, w.Distance)
+				}
+				if !reflect.DeepEqual(g.Circuit.Ops, w.Circuit.Ops) {
+					t.Errorf("n=%d hit=%v: candidate %d gate list differs from uncached", n, hit, i)
+				}
+			}
+		}
 	}
 }
 
