@@ -10,8 +10,9 @@ GO ?= go
 # Packages holding the hot-path benchmarks recorded in BENCH_synth.json:
 # objective/gradient evaluation and synthesis (synth), gate-apply kernels
 # (linalg), cached-vs-cold synthesis (ucache), the simulator and noise
-# engines, plus the streaming partitioner scan.
-BENCH_PKGS = ./internal/synth ./internal/linalg ./internal/ucache ./internal/noise ./internal/sim ./internal/partition
+# engines, the streaming partitioner scan, plus the dual annealer behind
+# ensemble selection.
+BENCH_PKGS = ./internal/synth ./internal/linalg ./internal/ucache ./internal/noise ./internal/sim ./internal/partition ./internal/anneal
 
 build:
 	$(GO) build ./...

@@ -9,6 +9,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -113,7 +114,10 @@ func (e *PanicError) Error() string {
 //   - Error propagation: the first fn error cancels the group context —
 //     in-flight fn calls that honor ctx stop early — and is returned.
 //     When several indices fail before the group drains, the error of
-//     the lowest index wins, keeping the returned error deterministic.
+//     the lowest index wins, keeping the returned error deterministic;
+//     a sibling's ErrCancelled caused by that group cancel is not a
+//     failure of its own and never wins over the root cause (see
+//     FirstErr).
 //   - Panic isolation: a panic in fn is recovered and surfaced as a
 //     *PanicError carrying the worker index and stack, instead of
 //     crashing the process. A panic cancels the group like an error.
@@ -169,13 +173,36 @@ func ForEachErr(ctx context.Context, workers, n int, fn func(ctx context.Context
 		}(w)
 	}
 	wg.Wait()
+	return FirstErr(ctx, errs)
+}
+
+// FirstErr picks the error a group run under ctx reports from its
+// per-index failure slots, where the first failure cancelled the group.
+// While the parent ctx is live, a cancellation can only come from that
+// group cancel — a sibling stopping because another index failed — so
+// the lowest-index error that is not a cancellation wins. Once the
+// parent ctx has expired, cancellations are real outcomes and the
+// lowest-index error wins outright. Either way the choice depends only
+// on the slots, not on which goroutine failed first. With no failure
+// recorded, a parent ctx that expired mid-loop means indices were
+// skipped, so the run is incomplete and reports it.
+func FirstErr(ctx context.Context, errs []error) error {
+	parentDone := ctx.Err() != nil
+	var first error
 	for _, err := range errs {
-		if err != nil {
+		if err == nil {
+			continue
+		}
+		if parentDone || !(errors.Is(err, budget.ErrCancelled) || errors.Is(err, context.Canceled)) {
 			return err
 		}
+		if first == nil {
+			first = err
+		}
 	}
-	// No fn failed; if the parent context expired mid-loop some indices
-	// were skipped, so the run is incomplete and must report it.
+	if first != nil {
+		return first
+	}
 	return budget.Check(ctx)
 }
 

@@ -255,3 +255,43 @@ func TestForEachPropagatesPanic(t *testing.T) {
 	})
 	t.Error("ForEach returned instead of panicking")
 }
+
+// TestForEachErrRootCauseBeatsGroupCancel pins the root-cause rule: when
+// index 1 fails, the group cancel makes index 0 stop with ErrCancelled,
+// and that induced cancellation must not win over index 1's error just
+// because its index is lower.
+func TestForEachErrRootCauseBeatsGroupCancel(t *testing.T) {
+	sentinel := errors.New("root cause")
+	fn := func(gctx context.Context, i int) error {
+		if i == 0 {
+			<-gctx.Done()
+			return budget.Check(gctx)
+		}
+		return sentinel
+	}
+	if err := ForEachErr(context.Background(), 2, 2, fn); !errors.Is(err, sentinel) {
+		t.Fatalf("ForEachErr = %v, want the root cause %v", err, sentinel)
+	}
+	if err := NewPool(2).ForEachErr(context.Background(), 2, fn); !errors.Is(err, sentinel) {
+		t.Fatalf("Pool.ForEachErr = %v, want the root cause %v", err, sentinel)
+	}
+}
+
+// TestForEachErrParentCancelStillWins: when the parent ctx itself is
+// cancelled, cancellations are real and the lowest index wins as before.
+func TestForEachErrParentCancelStillWins(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	other := errors.New("late failure")
+	err := ForEachErr(ctx, 2, 2, func(gctx context.Context, i int) error {
+		if i == 0 {
+			cancel()
+			<-gctx.Done()
+			return budget.Check(gctx)
+		}
+		<-gctx.Done()
+		return other
+	})
+	if !errors.Is(err, budget.ErrCancelled) {
+		t.Fatalf("ForEachErr = %v, want ErrCancelled from the cancelled parent", err)
+	}
+}

@@ -140,12 +140,5 @@ func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(ctx context.Contex
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	// No fn failed; if the parent context expired mid-loop some indices
-	// were skipped, so the run is incomplete and must report it.
-	return budget.Check(ctx)
+	return FirstErr(ctx, errs)
 }

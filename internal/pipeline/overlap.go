@@ -152,13 +152,10 @@ func OverlappedSynthesisStage(cfg Config) Stage[*circuit.Circuit, *SynthesisArti
 			}
 			return nil, fmt.Errorf("pipeline: partition: %w", prodErr)
 		}
-		synthErr := firstError(errs)
-		if synthErr == nil {
-			// Consumers may have skipped indices if the parent budget
-			// expired after the last error check; report it like
-			// par.ForEachErr does.
-			synthErr = budget.Check(ctx)
-		}
+		// The same choice par.ForEachErr makes: the root cause, not a
+		// sibling's induced cancellation, and an expired parent budget
+		// when consumers skipped indices without failing.
+		synthErr := par.FirstErr(ctx, errs)
 		if cfg.SynthCache != nil {
 			art.CacheStats = cfg.SynthCache.Stats().Sub(statsBefore)
 		}
@@ -188,17 +185,6 @@ func OverlappedSynthesisStage(cfg Config) Stage[*circuit.Circuit, *SynthesisArti
 		art.Elapsed = synthElapsed()
 		return art, nil
 	})
-}
-
-// firstError returns the lowest-index error, the same deterministic
-// choice par.ForEachErr makes.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // protectBlock runs one consumer step with par's panic isolation.
