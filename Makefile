@@ -10,7 +10,7 @@ GO ?= go
 # Packages holding the hot-path benchmarks recorded in BENCH_synth.json:
 # objective/gradient evaluation and synthesis (synth), gate-apply kernels
 # (linalg), cached-vs-cold synthesis (ucache), the simulator and noise
-# engines, the streaming partitioner scan, plus the dual annealer behind
+# engines, the partitioner scan, plus the dual annealer behind
 # ensemble selection.
 BENCH_PKGS = ./internal/synth ./internal/linalg ./internal/ucache ./internal/noise ./internal/sim ./internal/partition ./internal/anneal
 
@@ -131,7 +131,7 @@ serve-smoke:
 	echo "serve-smoke: kill -9 mid-job recovered to a byte-identical result"
 
 # `make corpus-smoke` compiles the committed big-circuit corpus
-# (examples/circuits/corpus) twice through the overlapped batch driver:
+# (examples/circuits/corpus) twice through the batch driver:
 # pass 1 must finish with zero degradations, pass 2 must be served
 # entirely from the warm shared synthesis cache (hits > 0, misses = 0),
 # and no circuit may come out with more CNOTs than it went in with
@@ -155,8 +155,8 @@ corpus-smoke:
 # `make bench-corpus` records the cross-circuit scheduling comparison in
 # BENCH_corpus.json: "staged-serial" models the pre-batch driver (one
 # quest invocation per file — serial, staged pipeline, cold private
-# cache per compilation), "overlap" is the batch driver (streaming
-# partition+synthesis, shared scheduler + one shared synthesis cache).
+# cache per compilation), "overlap" is the batch driver (concurrent
+# circuits, shared scheduler + one shared synthesis cache).
 # The workload is two passes over the corpus (the iterative
 # compile-inspect-recompile loop the driver exists for): within a pass
 # the shared cache deduplicates blocks across circuits, and across

@@ -12,8 +12,8 @@
 // benchmarks can live side by side. With -corpus, stdin is `quest
 // -corpus` output instead: the greppable `corpus <file> k=v ...` lines
 // become per-circuit records (plus a "total" record per pass) in
-// BENCH_corpus.json, so the staged-serial baseline and the overlapped
-// batch driver can be compared machine-readably across PRs.
+// BENCH_corpus.json, so the staged-serial baseline and the batch
+// driver can be compared machine-readably across PRs.
 package main
 
 import (

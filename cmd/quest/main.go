@@ -9,13 +9,13 @@
 //
 // With -out unset, a summary table is printed and no files are written.
 //
-// -corpus compiles every .qasm file in a directory as one batch: each
-// circuit runs the streaming (overlapped) pipeline and all of them share
-// one cross-circuit synthesis scheduler and one synthesis cache, so the
-// machine stays exactly -parallelism blocks busy regardless of how the
-// work is spread across circuits. -corpus-mode staged-serial keeps the
-// historical one-circuit-at-a-time staged driver as a benchmark baseline
-// (identical results, more wall time).
+// -corpus compiles every .qasm file in a directory as one batch: several
+// circuits compile concurrently and all of them share one cross-circuit
+// synthesis scheduler and one synthesis cache, so the machine stays
+// exactly -parallelism blocks busy regardless of how the work is spread
+// across circuits. -corpus-mode staged-serial keeps the historical
+// one-circuit-at-a-time driver as a benchmark baseline (identical
+// results, more wall time).
 package main
 
 import (
@@ -65,7 +65,7 @@ func main() {
 		cacheDir  = flag.String("synth-cache-dir", "", "persist the synthesis cache in this directory so warm hits survive across runs (empty = in-memory only)")
 
 		corpusDir   = flag.String("corpus", "", "compile every .qasm file in this directory as one scheduled batch")
-		corpusMode  = flag.String("corpus-mode", experiments.ModeOverlapped, "corpus driver: overlap (streaming pipeline, shared scheduler) or staged-serial (baseline)")
+		corpusMode  = flag.String("corpus-mode", experiments.ModeOverlapped, "corpus driver: overlap (concurrent circuits, shared scheduler and cache) or staged-serial (baseline)")
 		jobs        = flag.Int("jobs", 0, "concurrent circuit compilations in corpus overlap mode (0 = min(4, circuits))")
 		parallelism = flag.Int("parallelism", 0, "machine-wide synthesis worker slots (0 = NumCPU)")
 		passes      = flag.Int("passes", 1, "corpus compilation passes against the shared cache (2 measures warm-cache serving)")

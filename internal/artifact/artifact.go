@@ -21,8 +21,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -81,7 +81,7 @@ type solutionsFile struct {
 }
 
 // Write lays a pipeline result out under root in the artifact structure.
-func Write(root string, res *core.Result) error {
+func Write(root string, res *pipeline.Result) error {
 	partDir := filepath.Join(root, "post_partitioning_files")
 	synthDir := filepath.Join(root, "post_synthesis_files")
 	solDir := filepath.Join(root, "dual_annealing_solutions")
@@ -159,7 +159,7 @@ type Solutions struct {
 	NumQubits int
 	Threshold float64
 	Original  *circuit.Circuit
-	Selected  []core.Approximation
+	Selected  []pipeline.Approximation
 }
 
 // ReadSolutions loads dual_annealing_solutions/solutions.json from root.
@@ -178,7 +178,7 @@ func ReadSolutions(root string) (*Solutions, error) {
 		if err != nil {
 			return nil, fmt.Errorf("artifact: solution %d: %w", i, err)
 		}
-		out.Selected = append(out.Selected, core.Approximation{
+		out.Selected = append(out.Selected, pipeline.Approximation{
 			Choice:     s.Choice,
 			Circuit:    c,
 			CNOTs:      s.CNOTs,

@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/algos"
-	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/pipeline"
 )
 
-func runPipeline(t *testing.T) *core.Result {
+func runPipeline(t *testing.T) *pipeline.Result {
 	t.Helper()
 	c := algos.TFIM(4, 2, 0.1, 1, 1)
-	res, err := core.Run(c, core.Config{
+	res, err := pipeline.Run(c, pipeline.Config{
 		MaxSamples: 3, AnnealIterations: 120, SynthKeepPerDepth: 3, Seed: 4,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package budget defines the typed termination errors shared by every
 // stage of the QUEST pipeline, plus the helpers that map context
-// cancellation onto them. The contract, relied on from core.Run down to
+// cancellation onto them. The contract, relied on from pipeline.Run down to
 // the optimizer inner loops: a stage that is cut short returns an error
 // wrapping exactly one of the three sentinels below (so callers can
 // errors.Is against them through any number of fmt.Errorf %w layers),

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"repro/internal/algos"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -58,7 +58,7 @@ func ablationCircuit(cfg Config) *workload {
 // randomFeasibleChoice draws a uniform random choice vector whose summed
 // block distance respects the threshold (up to maxTries attempts; returns
 // ok=false if none found).
-func randomFeasibleChoice(blocks []core.BlockApproximations, threshold float64, rng *rand.Rand, enforce bool) ([]int, bool) {
+func randomFeasibleChoice(blocks []pipeline.BlockApproximations, threshold float64, rng *rand.Rand, enforce bool) ([]int, bool) {
 	const maxTries = 2000
 	for try := 0; try < maxTries; try++ {
 		choice := make([]int, len(blocks))
@@ -105,7 +105,7 @@ func ablateSelection(cfg Config) error {
 	widePC.Epsilon = 0.4
 	widePC.ThresholdCap = 1e9 // raw space: no safety cap, no pruning
 	widePC.MaxSamples = 1     // selection result unused; we only need Blocks
-	wide, err := core.Run(w.circuit, widePC)
+	wide, err := pipeline.Run(w.circuit, widePC)
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func ablateSelection(cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + 41))
 	for _, mode := range []struct {
 		name      string
-		blocks    []core.BlockApproximations
+		blocks    []pipeline.BlockApproximations
 		threshold float64
 		enforce   bool
 	}{
@@ -133,7 +133,7 @@ func ablateSelection(cfg Config) error {
 				if !ok {
 					return fmt.Errorf("ablation: no feasible random choice found")
 				}
-				a, err := core.Assemble(w.circuit.NumQubits, mode.blocks, choice)
+				a, err := pipeline.Assemble(w.circuit.NumQubits, mode.blocks, choice)
 				if err != nil {
 					return err
 				}
@@ -175,12 +175,12 @@ func ablateEnsembleSize(cfg Config) error {
 	// M (asserted by TestReselectAcrossMaxSamplesMatchesFullRuns).
 	sizes := []int{1, 2, 4, 8}
 	base := pipelineConfig(cfg)
-	variants := make([]core.Config, len(sizes))
+	variants := make([]pipeline.Config, len(sizes))
 	for i, m := range sizes {
 		variants[i] = base
 		variants[i].MaxSamples = m
 	}
-	return reselectSweep(w.circuit, base, variants, func(i int, res *core.Result) error {
+	return reselectSweep(w.circuit, base, variants, func(i int, res *pipeline.Result) error {
 		ens, err := res.EnsembleProbabilities(idealProbabilities)
 		if err != nil {
 			return err
@@ -206,7 +206,7 @@ func ablateWeight(cfg Config) error {
 	for _, weight := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 		pc := pipelineConfig(cfg)
 		pc.CXWeight = weight
-		res, err := core.Run(w.circuit, pc)
+		res, err := pipeline.Run(w.circuit, pc)
 		if err != nil {
 			return err
 		}
@@ -235,7 +235,7 @@ func ablateBlockSize(cfg Config) error {
 	for _, size := range sizes {
 		pc := pipelineConfig(cfg)
 		pc.BlockSize = size
-		res, err := core.Run(w.circuit, pc)
+		res, err := pipeline.Run(w.circuit, pc)
 		if err != nil {
 			return err
 		}

@@ -21,12 +21,12 @@ import (
 // driver — compiling a directory used to mean one `quest` invocation per
 // file, so each circuit runs the staged pipeline serially with a private
 // per-run worker pool and its own cold synthesis cache. Overlapped is
-// the batch path this driver exists for: every circuit uses the
-// streaming partition+synthesis fusion, several circuits compile
-// concurrently, and all of them draw synthesis slots from one shared
-// scheduler pool and share one synthesis cache, so a block unitary
-// appearing anywhere in the corpus is synthesized exactly once
-// machine-wide (singleflight coalesces even concurrent duplicates).
+// the batch path this driver exists for: several circuits compile
+// concurrently through the same staged pipeline, their block syntheses
+// overlapping on one shared scheduler pool, and all of them share one
+// synthesis cache, so a block unitary appearing anywhere in the corpus
+// is synthesized exactly once machine-wide (singleflight coalesces even
+// concurrent duplicates).
 const (
 	ModeStagedSerial = "staged-serial"
 	ModeOverlapped   = "overlap"
@@ -197,7 +197,6 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 				AllowDegraded:    opts.Timeout > 0,
 				SynthCache:       runCache,
 				Parallelism:      workers,
-				Overlap:          opts.Mode == ModeOverlapped,
 				Scheduler:        pool,
 			}
 			start := time.Now()

@@ -50,9 +50,10 @@ func corpusOpts(dir, mode string) CorpusOptions {
 }
 
 // TestCorpusModesProduceIdenticalResults is the corpus-level determinism
-// claim: the overlapped+scheduled driver must compile every circuit to
-// exactly the same CNOT counts, block structure, sample count, and
-// degradations as the staged-serial baseline — only wall time may differ.
+// claim: the batch driver (concurrent circuits on one shared scheduler
+// and cache) must compile every circuit to exactly the same CNOT counts,
+// block structure, sample count, and degradations as the staged-serial
+// baseline — only wall time may differ.
 func TestCorpusModesProduceIdenticalResults(t *testing.T) {
 	dir := miniCorpus(t)
 	serial, err := RunCorpus(context.Background(), corpusOpts(dir, ModeStagedSerial))

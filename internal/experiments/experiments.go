@@ -22,8 +22,8 @@ import (
 	"repro/internal/algos"
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/transpile"
 	"repro/internal/ucache"
@@ -65,7 +65,7 @@ type Config struct {
 	Out io.Writer
 
 	// objective is the resolved Objective spec (see resolveObjective).
-	objective core.Objective
+	objective pipeline.Objective
 }
 
 func (c *Config) defaults() {
@@ -187,9 +187,9 @@ func workloads(cfg Config) ([]workload, error) {
 	return out, nil
 }
 
-// pipelineConfig returns the core.Config used by the experiments.
-func pipelineConfig(cfg Config) core.Config {
-	pc := core.Config{
+// pipelineConfig returns the pipeline.Config used by the experiments.
+func pipelineConfig(cfg Config) pipeline.Config {
+	pc := pipeline.Config{
 		BlockSize:        3,
 		Epsilon:          0.05,
 		MaxSamples:       8,
@@ -221,8 +221,8 @@ func pipelineConfig(cfg Config) core.Config {
 // cfg.Timeout/cfg.BlockTimeout may degrade blocks to their exact
 // sub-circuits instead of failing; any substitutions are noted in the
 // figure output so a degraded data point is never silent.
-func questRun(w workload, cfg Config) (*core.Result, error) {
-	res, err := core.Run(w.circuit, pipelineConfig(cfg))
+func questRun(w workload, cfg Config) (*pipeline.Result, error) {
+	res, err := pipeline.Run(w.circuit, pipelineConfig(cfg))
 	if err == nil && len(res.Degradations) > 0 {
 		cfg.printf("  [%s: %d of %d blocks degraded to exact sub-circuits under the time budget]\n",
 			w.label(), len(res.Degradations), len(res.Blocks))
@@ -232,7 +232,7 @@ func questRun(w workload, cfg Config) (*core.Result, error) {
 
 // meanCNOTs returns the mean CNOT count of the selected approximations,
 // optionally after applying the Qiskit-style optimizer to each.
-func meanCNOTs(res *core.Result, withQiskit bool) float64 {
+func meanCNOTs(res *pipeline.Result, withQiskit bool) float64 {
 	var s float64
 	for _, a := range res.Selected {
 		c := a.Circuit
@@ -257,12 +257,12 @@ func idealProbabilities(c *circuit.Circuit) ([]float64, error) {
 	return sim.Probabilities(c), nil
 }
 
-// noisyRunner returns a core.Runner for a uniform Pauli model, optionally
+// noisyRunner returns a pipeline.Runner for a uniform Pauli model, optionally
 // applying the Qiskit-style optimizer before execution (the paper's
 // "QUEST + Qiskit" configuration). The ensemble already fans out across
 // approximations, so each run keeps its trajectories serial
 // (Parallelism 1) rather than oversubscribing the worker budget.
-func noisyRunner(m noise.Model, shots int, seed int64, qiskit bool) core.Runner {
+func noisyRunner(m noise.Model, shots int, seed int64, qiskit bool) pipeline.Runner {
 	return func(c *circuit.Circuit) ([]float64, error) {
 		if qiskit {
 			c = transpile.Optimize(c)

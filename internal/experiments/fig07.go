@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -48,6 +48,6 @@ func Fig07BoundVsActual(cfg Config) error {
 	if violations > 0 {
 		return fmt.Errorf("fig7: bound violated on %d samples", violations)
 	}
-	_ = core.UpperBound // the bound helper under test
+	_ = pipeline.UpperBound // the bound helper under test
 	return nil
 }

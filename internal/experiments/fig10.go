@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/pipeline"
 
 	"repro/internal/circuit"
 	"repro/internal/metrics"
@@ -23,7 +23,7 @@ func Fig10Manila(cfg Config) error {
 	// likewise selects its threshold constant from that sweep).
 	prep, err := preparedWorkloads(cfg, "fig10", sweepOpts{
 		maxQubits: 5,
-		mutate:    func(pc *core.Config) { pc.Epsilon = 0.1 },
+		mutate:    func(pc *pipeline.Config) { pc.Epsilon = 0.1 },
 	})
 	if err != nil {
 		return err

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/transpile"
 )
@@ -46,7 +46,7 @@ func caseStudy(cfg Config, title string, run func(*circuit.Circuit, int64) ([]fl
 			}
 			qiskitObs := cs.observable(qp, n)
 
-			res, err := core.Run(c, pipelineConfig(cfg))
+			res, err := pipeline.Run(c, pipelineConfig(cfg))
 			if err != nil {
 				return fmt.Errorf("case study %s step %d: %w", cs.name, steps, err)
 			}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/transpile"
 )
 
@@ -23,7 +23,7 @@ func Fig15CircuitIllustration(cfg Config) error {
 		cfg.printf("baseline: %d ops, %d CNOTs, depth %d\n",
 			c.Size(), c.CNOTCount(), c.Depth())
 
-		res, err := core.Run(c, pipelineConfig(cfg))
+		res, err := pipeline.Run(c, pipelineConfig(cfg))
 		if err != nil {
 			return err
 		}

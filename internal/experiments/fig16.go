@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -46,12 +46,12 @@ func Fig16ThresholdSweep(cfg Config) error {
 		// The sweep studies the raw proportional threshold; lift the
 		// safety cap so large ε values are actually exercised.
 		base.ThresholdCap = 1e9
-		variants := make([]core.Config, len(epsilons))
+		variants := make([]pipeline.Config, len(epsilons))
 		for i, eps := range epsilons {
 			variants[i] = base
 			variants[i].Epsilon = eps
 		}
-		err := reselectSweep(c, base, variants, func(i int, res *core.Result) error {
+		err := reselectSweep(c, base, variants, func(i int, res *pipeline.Result) error {
 			ens, err := res.EnsembleProbabilities(idealProbabilities)
 			if err != nil {
 				return err

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/fidelity"
 	"repro/internal/metrics"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
@@ -54,8 +54,8 @@ func Fig17ObjectiveComparison(cfg Config) error {
 			continue
 		}
 		ideal := sim.Probabilities(w.circuit)
-		var results [2]*core.Result
-		err := reselectSweep(w.circuit, base, []core.Config{base, fidCfg}, func(i int, res *core.Result) error {
+		var results [2]*pipeline.Result
+		err := reselectSweep(w.circuit, base, []pipeline.Config{base, fidCfg}, func(i int, res *pipeline.Result) error {
 			results[i] = res
 			return nil
 		})
@@ -102,7 +102,7 @@ func Fig17ObjectiveComparison(cfg Config) error {
 // selectionsDiffer reports whether two results picked different
 // per-block candidate choices (order-sensitive: the ensembles are
 // ordered by selection round).
-func selectionsDiffer(a, b *core.Result) bool {
+func selectionsDiffer(a, b *pipeline.Result) bool {
 	if len(a.Selected) != len(b.Selected) {
 		return true
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/pipeline"
 )
 
@@ -26,7 +25,7 @@ import (
 // prepared pairs a workload with its pipeline result.
 type prepared struct {
 	w   workload
-	res *core.Result
+	res *pipeline.Result
 }
 
 // sweepOpts filters and adjusts a per-workload preparation pass.
@@ -36,7 +35,7 @@ type sweepOpts struct {
 	// filter, when non-nil, additionally restricts the workload set.
 	filter func(w workload) bool
 	// mutate, when non-nil, adjusts the pipeline config before the runs.
-	mutate func(pc *core.Config)
+	mutate func(pc *pipeline.Config)
 }
 
 // preparedWorkloads runs the QUEST pipeline once over every eligible
@@ -59,7 +58,7 @@ func preparedWorkloads(cfg Config, fig string, opt sweepOpts) ([]prepared, error
 		if opt.filter != nil && !opt.filter(w) {
 			continue
 		}
-		res, err := core.Run(w.circuit, pc)
+		res, err := pipeline.Run(w.circuit, pc)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", fig, w.label(), err)
 		}
@@ -81,7 +80,7 @@ func preparedWorkloads(cfg Config, fig string, opt sweepOpts) ([]prepared, error
 // shared harvest satisfies every wider point too (see pipeline.Reselect
 // for the reuse contract). M/weight sweeps at base's own ε are
 // bit-identical to full per-point runs.
-func reselectSweep(c *circuit.Circuit, base core.Config, variants []core.Config, fn func(i int, res *core.Result) error) error {
+func reselectSweep(c *circuit.Circuit, base pipeline.Config, variants []pipeline.Config, fn func(i int, res *pipeline.Result) error) error {
 	ctx := context.Background()
 	art, err := pipeline.Synthesize(ctx, c, base)
 	if err != nil {

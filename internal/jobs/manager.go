@@ -52,9 +52,8 @@ type Options struct {
 	// Epsilon/MaxSamples/BlockSize/Seed. Its SynthCache (if any) is
 	// shared across every tenant's jobs. When its Scheduler is nil and
 	// Workers > 0, the manager installs one shared par.Pool (sized by
-	// Pipeline.Parallelism, 0 = NumCPU) and enables the streaming
-	// Overlap path, so all workers' jobs draw synthesis slots from one
-	// machine-wide budget.
+	// Pipeline.Parallelism, 0 = NumCPU), so all workers' jobs draw
+	// per-block synthesis slots from one machine-wide budget.
 	Pipeline pipeline.Config
 	// Clock is the time source (default time.Now; tests inject).
 	Clock func() time.Time
@@ -99,12 +98,10 @@ func (o *Options) defaults() {
 		// pipeline run, replacing the old static NumCPU/Workers split: a
 		// lone job can saturate the machine, and W busy jobs draw slots
 		// FIFO from the same pool instead of oversubscribing it W-fold.
-		// Streaming (Overlap) lets each job's blocks reach the shared
-		// pool as the partition scan closes them. Pool size follows
-		// Pipeline.Parallelism (0 = NumCPU). Neither field enters
-		// artifact keys, so results and keys are unchanged.
+		// Pool size follows Pipeline.Parallelism (0 = NumCPU). The
+		// scheduler never enters artifact keys, so results and keys are
+		// unchanged.
 		o.Pipeline.Scheduler = par.NewPool(o.Pipeline.Parallelism)
-		o.Pipeline.Overlap = true
 	}
 	if o.Pipeline.Parallelism == 0 {
 		// No-scheduler managers (Workers < 0 inspection tooling, or an

@@ -16,9 +16,6 @@ func TestDefaultsInstallSharedScheduler(t *testing.T) {
 	if o.Pipeline.Scheduler == nil {
 		t.Fatal("Workers>0 manager has no shared scheduler")
 	}
-	if !o.Pipeline.Overlap {
-		t.Fatal("Workers>0 manager does not enable the overlap path")
-	}
 	if got := o.Pipeline.Scheduler.Size(); got != runtime.NumCPU() {
 		t.Fatalf("default pool size = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
@@ -37,13 +34,12 @@ func TestDefaultsInstallSharedScheduler(t *testing.T) {
 		t.Fatal("caller-provided scheduler was replaced")
 	}
 
-	// Workerless (inspection) managers keep the staged path and the
-	// proportional Parallelism split.
+	// Workerless (inspection) managers keep a private per-run pool and
+	// the proportional Parallelism split.
 	inspect := Options{Workers: -1}
 	inspect.defaults()
-	if inspect.Pipeline.Scheduler != nil || inspect.Pipeline.Overlap {
-		t.Fatalf("Workers=-1 manager got scheduler=%v overlap=%v, want none",
-			inspect.Pipeline.Scheduler, inspect.Pipeline.Overlap)
+	if inspect.Pipeline.Scheduler != nil {
+		t.Fatalf("Workers=-1 manager got scheduler=%v, want none", inspect.Pipeline.Scheduler)
 	}
 	if inspect.Pipeline.Parallelism < 1 {
 		t.Fatalf("Parallelism = %d, want >= 1", inspect.Pipeline.Parallelism)
@@ -51,15 +47,14 @@ func TestDefaultsInstallSharedScheduler(t *testing.T) {
 }
 
 // TestSharedSchedulerMatchesStagedResults submits jobs through the
-// manager's shared-scheduler overlap path and checks every payload is
-// bit-identical to a direct staged (no scheduler) pipeline run of the
-// same resolved config — the jobs-level version of the pipeline's
-// overlap-vs-staged golden tests.
+// manager's shared scheduler and checks every payload is bit-identical
+// to a direct pipeline run of the same resolved config on a private
+// pool — the jobs-level version of the pipeline's shared-scheduler
+// golden test.
 func TestSharedSchedulerMatchesStagedResults(t *testing.T) {
 	m := openManager(t, testOpts(t))
-	if m.opts.Pipeline.Scheduler == nil || !m.opts.Pipeline.Overlap {
-		t.Fatalf("manager pipeline = scheduler %v overlap %v, want shared scheduler + overlap",
-			m.opts.Pipeline.Scheduler, m.opts.Pipeline.Overlap)
+	if m.opts.Pipeline.Scheduler == nil {
+		t.Fatal("manager pipeline has no shared scheduler")
 	}
 
 	src := testQASM(t)
@@ -86,7 +81,6 @@ func TestSharedSchedulerMatchesStagedResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Scheduler = nil
-		cfg.Overlap = false
 		c, err := qasm.Parse(src)
 		if err != nil {
 			t.Fatal(err)

@@ -4,25 +4,14 @@
 // from BQSKit. Blocks are emitted in topological order: executing the
 // blocks sequentially reproduces the original circuit's unitary.
 //
-// Three entry points share one scan core:
-//
-//   - Scan materializes the whole partition at once (the historical API);
-//   - Stream emits each block as soon as the scan PROVES no later op can
-//     join it, which is what lets synthesis start on block 0 while the
-//     scanner is still walking the tail of a multi-thousand-gate circuit;
-//   - Count computes only the number of blocks, without materializing
-//     any ops — the cheap pre-pass the overlapped pipeline uses to fix
-//     the full-circuit threshold before the first block arrives.
-//
-// Stream is proven block-for-block identical to Scan by randomized tests:
-// same blocks, same order, same qubit sets, same op sequences.
+// Scan materializes the whole partition in one pass. The scan is a
+// negligible share of a compilation next to per-block synthesis, so
+// nothing downstream gains from receiving blocks any earlier.
 package partition
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/budget"
 	"repro/internal/circuit"
 )
 
@@ -84,18 +73,15 @@ func (b *openBlock) add(q int) {
 	b.qubits[i] = q
 }
 
-// scanner runs the placement loop shared by Scan, Stream and Count.
+// scanner runs Scan's placement loop.
 type scanner struct {
 	c         *circuit.Circuit
 	maxSize   int
-	blocks    []*openBlock // emitted entries are nil'd to release memory
-	lastTouch []int        // lastTouch[q] = index of the last block touching q
-	remaining []int        // remaining[q] = ops after the cursor touching q
-	emitted   int          // blocks [0, emitted) have been handed out
-	storeOps  bool         // Count runs with ops elided
+	blocks    []*openBlock
+	lastTouch []int // lastTouch[q] = index of the last block touching q
 }
 
-func newScanner(c *circuit.Circuit, maxSize int, storeOps bool) (*scanner, error) {
+func newScanner(c *circuit.Circuit, maxSize int) (*scanner, error) {
 	if maxSize < 1 {
 		return nil, fmt.Errorf("partition: maxSize %d < 1", maxSize)
 	}
@@ -103,8 +89,6 @@ func newScanner(c *circuit.Circuit, maxSize int, storeOps bool) (*scanner, error
 		c:         c,
 		maxSize:   maxSize,
 		lastTouch: make([]int, c.NumQubits),
-		remaining: make([]int, c.NumQubits),
-		storeOps:  storeOps,
 	}
 	for i := range s.lastTouch {
 		s.lastTouch[i] = -1
@@ -113,9 +97,6 @@ func newScanner(c *circuit.Circuit, maxSize int, storeOps bool) (*scanner, error
 		if len(op.Qubits) > maxSize {
 			return nil, fmt.Errorf("partition: op %s spans %d qubits > block size %d",
 				op.Name, len(op.Qubits), maxSize)
-		}
-		for _, q := range op.Qubits {
-			s.remaining[q]++
 		}
 	}
 	return s, nil
@@ -148,55 +129,11 @@ func (s *scanner) place(i int) {
 	for _, q := range op.Qubits {
 		blk.add(q)
 		s.lastTouch[q] = placed
-		s.remaining[q]--
 	}
-	if s.storeOps {
-		blk.ops = append(blk.ops, i)
-	}
+	blk.ops = append(blk.ops, i)
 }
 
-// closedBefore returns the exclusive upper bound on the prefix of blocks
-// the min-last-touch rule proves closed: a future op's placement index is
-// at least the maximum last-touch over its own qubits, which is at least
-// the minimum last-touch over every qubit that still has ops ahead of the
-// cursor — so every block below that minimum can never receive another
-// op. Qubits with no remaining ops (including qubits the circuit never
-// uses) cannot appear in a future op and do not hold blocks open.
-func (s *scanner) closedBefore() int {
-	m := len(s.blocks)
-	for q, rem := range s.remaining {
-		if rem > 0 && s.lastTouch[q] < m {
-			m = s.lastTouch[q]
-		}
-	}
-	if m < 0 {
-		return 0
-	}
-	return m
-}
-
-// blockClosed proves closure for one saturated block directly: a block
-// already holding maxSize qubits can only receive a future op whose
-// qubits ALL lie inside its qubit set, and such an op cannot reach index
-// b when each member qubit either has no ops left or was last touched by
-// a later block (placement never descends below the op's max last-touch).
-// This closes the common fully-packed blocks long before the global
-// min-last-touch passes them — e.g. a finished 4-qubit block at the head
-// of a 60-qubit circuit.
-func (s *scanner) blockClosed(b int) bool {
-	blk := s.blocks[b]
-	if len(blk.qubits) < s.maxSize {
-		return false
-	}
-	for _, q := range blk.qubits {
-		if s.remaining[q] > 0 && s.lastTouch[q] <= b {
-			return false
-		}
-	}
-	return true
-}
-
-// localize converts open block b into its emitted Block form, remapping
+// localize converts open block b into its returned Block form, remapping
 // global qubits to local indices 0..len(qubits)-1 (ascending order).
 func (s *scanner) localize(b int) (Block, error) {
 	blk := s.blocks[b]
@@ -230,7 +167,7 @@ func (s *scanner) localize(b int) (Block, error) {
 // block is opened when none fits. This preserves all per-qubit gate
 // orderings, so sequential reassembly is exact.
 func Scan(c *circuit.Circuit, maxSize int) ([]Block, error) {
-	s, err := newScanner(c, maxSize, true)
+	s, err := newScanner(c, maxSize)
 	if err != nil {
 		return nil, err
 	}
@@ -246,67 +183,6 @@ func Scan(c *circuit.Circuit, maxSize int) ([]Block, error) {
 		out = append(out, blk)
 	}
 	return out, nil
-}
-
-// Count returns the number of blocks Scan would produce, without
-// materializing any block circuit. It is the overlapped pipeline's
-// pre-pass: the full-circuit threshold is ε × Count before the first
-// streamed block reaches synthesis.
-func Count(c *circuit.Circuit, maxSize int) (int, error) {
-	s, err := newScanner(c, maxSize, false)
-	if err != nil {
-		return 0, err
-	}
-	for i := range c.Ops {
-		s.place(i)
-	}
-	return len(s.blocks), nil
-}
-
-// Stream partitions the circuit incrementally: emit is called once per
-// block, in Scan's block order, as soon as the scan proves the block can
-// receive no further op (see scanner.closedBefore) — block 0 is typically
-// emitted while the scanner is still walking the circuit's tail. The
-// blocks passed to emit are exactly Scan's blocks.
-//
-// Stream stops at the first emit error (returned verbatim) and checks ctx
-// between ops, returning the typed budget error on expiry. It runs
-// entirely on the caller's goroutine: cancellation cannot leak anything.
-func Stream(ctx context.Context, c *circuit.Circuit, maxSize int, emit func(Block) error) error {
-	s, err := newScanner(c, maxSize, true)
-	if err != nil {
-		return err
-	}
-	// emitClosed hands out the longest emittable prefix: blocks below the
-	// global min-last-touch bound, plus saturated blocks blockClosed
-	// proves directly. Emission stays strictly in index order (Scan's
-	// order); a closed block behind an open one waits its turn.
-	emitClosed := func(final bool) error {
-		m := s.closedBefore()
-		for s.emitted < len(s.blocks) &&
-			(final || s.emitted < m || s.blockClosed(s.emitted)) {
-			blk, err := s.localize(s.emitted)
-			if err != nil {
-				return err
-			}
-			s.blocks[s.emitted].ops = nil // handed out; keep qubits (fits scans past)
-			s.emitted++
-			if err := emit(blk); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := range c.Ops {
-		if err := budget.Check(ctx); err != nil {
-			return err
-		}
-		s.place(i)
-		if err := emitClosed(false); err != nil {
-			return err
-		}
-	}
-	return emitClosed(true)
 }
 
 // Reassemble rebuilds a full circuit on n qubits from blocks in order,

@@ -104,14 +104,6 @@ type Config struct {
 	// slot-write determinism rule; asserted by tests). Nil keeps the
 	// historical per-run pool. Scheduler never enters artifact keys.
 	Scheduler *par.Pool
-	// Overlap selects the streaming partition path: blocks are emitted
-	// by partition.Stream as the scan proves them closed and synthesis
-	// consumes them immediately, so block 0 synthesizes while the
-	// scanner is still walking the circuit's tail. Artifacts are
-	// bit-identical to the staged path (golden-tested); only wall-clock
-	// and the Elapsed telemetry differ. Zero value keeps the staged
-	// path.
-	Overlap bool
 }
 
 func (c *Config) defaults() {

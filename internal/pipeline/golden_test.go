@@ -1,4 +1,4 @@
-package core_test
+package pipeline_test
 
 import (
 	"crypto/sha256"
@@ -10,21 +10,21 @@ import (
 	"testing"
 
 	"repro/internal/algos"
-	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/ucache"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/golden_run.json from the current pipeline")
 
-// The golden file pins core.Run end to end over 3 benchmark circuits ×
+// The golden file pins pipeline.Run end to end over 3 benchmark circuits ×
 // 2 configs × 2 parallelism levels, with one cached run per circuit. The
 // staged pipeline must reproduce every case bit-for-bit: choice vectors,
 // CNOT counts, EpsilonSum float bits, the exact QASM of each selected
 // circuit, degradation counts and cache stats.
 //
 // The fixture tracks the synthesis objective's exact arithmetic, so it
-// must be regenerated (go test ./internal/core -run Golden -update) when
+// must be regenerated (go test ./internal/pipeline -run Golden -update) when
 // the objective's evaluation order changes. History: originally generated
 // by the pre-refactor monolithic core.Run (commit c5ddef0); regenerated
 // after the fused-layer objective rewrite, which reassociates the same
@@ -54,23 +54,23 @@ type goldenCase struct {
 	CacheMisses   uint64         `json:"cache_misses"`
 }
 
-func goldenConfig(t *testing.T, name string) core.Config {
+func goldenConfig(t *testing.T, name string) pipeline.Config {
 	t.Helper()
 	switch name {
 	case "default":
-		return core.Config{MaxSamples: 4, AnnealIterations: 120, Seed: 1}
+		return pipeline.Config{MaxSamples: 4, AnnealIterations: 120, Seed: 1}
 	case "nondefault":
-		return core.Config{
+		return pipeline.Config{
 			BlockSize: 2, Epsilon: 0.1, ThresholdCap: 0.4, MaxSamples: 3,
 			CXWeight: 0.75, AnnealIterations: 100, SynthBeam: 1,
 			SynthKeepPerDepth: 3, Seed: 7,
 		}
 	}
 	t.Fatalf("unknown golden config %q", name)
-	return core.Config{}
+	return pipeline.Config{}
 }
 
-func runGoldenCase(t *testing.T, gc *goldenCase) *core.Result {
+func runGoldenCase(t *testing.T, gc *goldenCase) *pipeline.Result {
 	t.Helper()
 	c, err := algos.Generate(gc.Algo, gc.Qubits)
 	if err != nil {
@@ -81,7 +81,7 @@ func runGoldenCase(t *testing.T, gc *goldenCase) *core.Result {
 	if gc.Cached {
 		cfg.SynthCache = ucache.New(256, 0)
 	}
-	res, err := core.Run(c, cfg)
+	res, err := pipeline.Run(c, cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -13,8 +13,8 @@
 //	*SelectionArtifact          dissimilar approximations → *Result
 //
 // Run / RunCtx execute the full composition and are bit-identical to the
-// historical monolithic core.Run for the same Config (asserted by the
-// golden test in internal/core). Each stage is also usable on its own,
+// historical monolithic core.Run for the same Config (asserted by
+// TestGoldenStagedPipelineMatchesSeed). Each stage is also usable on its own,
 // which is what makes evaluation sweeps cheap: a SynthesisArtifact is
 // computed once and re-selected against many (ε, M, CXWeight) settings
 // with Reselect, skipping the dominant synthesis cost (Fig. 12).
@@ -296,20 +296,8 @@ func RunCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Result, error
 }
 
 // Stages returns the full pipeline as one composed stage. The Config is
-// resolved once so every stage sees identical defaults. With
-// Config.Overlap the partition+synthesis half is the streaming fusion
-// (OverlappedSynthesisStage) instead of the staged pair; the artifacts
-// are bit-identical either way.
+// resolved once so every stage sees identical defaults.
 func Stages(cfg Config) Stage[*circuit.Circuit, *SelectionArtifact] {
 	cfg.defaults()
-	return Then(synthesisFront(cfg), SelectionStage(cfg))
-}
-
-// synthesisFront is the circuit → SynthesisArtifact half of the pipeline
-// under cfg: staged by default, streaming when Config.Overlap is set.
-func synthesisFront(cfg Config) Stage[*circuit.Circuit, *SynthesisArtifact] {
-	if cfg.Overlap {
-		return OverlappedSynthesisStage(cfg)
-	}
-	return Then(PartitionStage(cfg), SynthesisStage(cfg))
+	return Then(Then(PartitionStage(cfg), SynthesisStage(cfg)), SelectionStage(cfg))
 }

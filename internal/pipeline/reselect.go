@@ -23,7 +23,7 @@ func Synthesize(ctx context.Context, c *circuit.Circuit, cfg Config) (*Synthesis
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	return synthesisFront(cfg).Run(ctx, c)
+	return Then(PartitionStage(cfg), SynthesisStage(cfg)).Run(ctx, c)
 }
 
 // Reselect re-runs the selection stage only, against a previously

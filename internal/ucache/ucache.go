@@ -345,7 +345,7 @@ func phaseAlignedDiff(a, b *linalg.Matrix) float64 {
 }
 
 // cloneResult deep-copies a synthesis result so cached state and caller
-// state never alias (internal/core truncates Candidates in place).
+// state never alias (internal/pipeline truncates Candidates in place).
 func cloneResult(r synth.Result) synth.Result {
 	out := r
 	out.Candidates = make([]synth.Candidate, len(r.Candidates))

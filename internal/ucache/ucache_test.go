@@ -62,7 +62,7 @@ func TestHitResultIsIndependentCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate-in-place the way internal/core does; the cache must be
+	// Truncate-in-place the way internal/pipeline does; the cache must be
 	// unaffected.
 	kept := first.Candidates[:0]
 	for _, cand := range first.Candidates {

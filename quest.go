@@ -30,9 +30,9 @@ import (
 	"repro/internal/backend"
 	"repro/internal/budget"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/sim"
 	"repro/internal/transpile"
@@ -63,27 +63,27 @@ var (
 type Circuit = circuit.Circuit
 
 // Config controls the QUEST pipeline; the zero value selects paper-like
-// defaults. See the field documentation in internal/core.
-type Config = core.Config
+// defaults. See the field documentation in internal/pipeline.
+type Config = pipeline.Config
 
 // Result is the pipeline outcome: the per-block approximation sets, the
 // selected dissimilar approximations and the stage timing breakdown.
-type Result = core.Result
+type Result = pipeline.Result
 
 // Approximation is one selected full-circuit approximation.
-type Approximation = core.Approximation
+type Approximation = pipeline.Approximation
 
 // Degradation records a block that fell back to its exact (transpiled)
 // sub-circuit after synthesis retries were exhausted or a budget expired.
 // Degraded runs still produce a valid Result; Result.Degradations lists
 // every substitution.
-type Degradation = core.Degradation
+type Degradation = pipeline.Degradation
 
 // Runner executes a circuit and returns an output distribution.
-type Runner = core.Runner
+type Runner = pipeline.Runner
 
 // RunnerCtx is a context-aware Runner; see Result.EnsembleProbabilitiesCtx.
-type RunnerCtx = core.RunnerCtx
+type RunnerCtx = pipeline.RunnerCtx
 
 // NoiseModel is a stochastic Pauli gate-error model.
 type NoiseModel = noise.Model
@@ -101,7 +101,7 @@ func ParseQASM(src string) (*Circuit, error) { return qasm.Parse(src) }
 func WriteQASM(c *Circuit) string { return qasm.Write(c) }
 
 // Approximate runs the full QUEST pipeline on a circuit.
-func Approximate(c *Circuit, cfg Config) (*Result, error) { return core.Run(c, cfg) }
+func Approximate(c *Circuit, cfg Config) (*Result, error) { return pipeline.Run(c, cfg) }
 
 // ApproximateCtx runs the full QUEST pipeline under a context. The run
 // stops at the earliest of ctx's deadline/cancellation and cfg.Timeout;
@@ -111,7 +111,7 @@ func Approximate(c *Circuit, cfg Config) (*Result, error) { return core.Run(c, c
 // which case unfinished blocks degrade to their exact sub-circuits and a
 // valid Result is returned with the substitutions in Result.Degradations.
 func ApproximateCtx(ctx context.Context, c *Circuit, cfg Config) (*Result, error) {
-	return core.RunCtx(ctx, c, cfg)
+	return pipeline.RunCtx(ctx, c, cfg)
 }
 
 // GenerateBenchmark builds one of the paper's Table-1 benchmark circuits
