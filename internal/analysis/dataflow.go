@@ -71,6 +71,14 @@ type flowResult struct {
 // transfer mutates fact in place to reflect the effect of one node; it
 // must be deterministic and must not retain fact.
 func runFlow(c *CFG, transfer func(fact tokenSet, n ast.Node)) *flowResult {
+	return runFlowEdges(c, transfer, nil)
+}
+
+// runFlowEdges is runFlow with a branch-sensitive refinement: when edge
+// is non-nil it adjusts (in place) the fact leaving blk for its i-th
+// successor, after blk's transfer — e.g. to record an outcome that only
+// holds on an if statement's then edge (Succs[0]).
+func runFlowEdges(c *CFG, transfer func(fact tokenSet, n ast.Node), edge func(fact tokenSet, blk *Block, i int)) *flowResult {
 	r := &flowResult{cfg: c, in: make([]tokenSet, len(c.Blocks)), transfer: transfer}
 	for i := range r.in {
 		r.in[i] = tokenSet{}
@@ -96,8 +104,13 @@ func runFlow(c *CFG, transfer func(fact tokenSet, n ast.Node)) *flowResult {
 		for _, n := range blk.Nodes {
 			transfer(out, n)
 		}
-		for _, succ := range blk.Succs {
-			if r.in[succ.Index].addAll(out) && !inWork[succ.Index] {
+		for i, succ := range blk.Succs {
+			eout := out
+			if edge != nil {
+				eout = out.clone()
+				edge(eout, blk, i)
+			}
+			if r.in[succ.Index].addAll(eout) && !inWork[succ.Index] {
 				work = append(work, succ)
 				inWork[succ.Index] = true
 			}

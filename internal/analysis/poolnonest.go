@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -17,14 +18,20 @@ import (
 //     pipeline-style runBlocks helpers are seen through) — the callback
 //     must not reach Pool.Acquire/ForEachErr through any chain of
 //     statically resolvable calls.
-//  2. Slot-held regions: between a manual Pool.Acquire and its Release,
-//     no call may re-enter the pool — a direct ForEachErr, or any callee
-//     that transitively reaches a pool operation. (A direct re-Acquire
-//     in this region is deliberately not reported: the canonical
+//  2. Slot-held regions: between a manual Pool.Acquire or a successful
+//     Pool.TryAcquire and its Release, no call may re-enter the pool — a
+//     direct ForEachErr, or any callee that transitively reaches a pool
+//     operation. (A direct re-Acquire in this region is deliberately not
+//     reported: the canonical
 //     `if err := p.Acquire(ctx); err != nil { continue }` retry loop
 //     makes the may-analysis see the failed acquisition's token at the
 //     next attempt; check 1 and the transitive-callee rule still catch
 //     every interprocedural nesting.)
+//
+// TryAcquire is the one pool operation allowed under a slot: it never
+// waits, so it can only take a slot that is idle, and cannot deadlock.
+// It therefore does not count as re-entering the pool in either check,
+// while the region it opens is slot-held like an Acquire's.
 //
 // Calls through function values and interfaces are not resolvable and
 // are not followed — the same consciously-accepted blind spot as every
@@ -112,7 +119,22 @@ func poolHeldRegions(pass *Pass, info *types.Info, loader *Loader, body *ast.Blo
 		return
 	}
 	cfg := FuncCFG(info, body)
+	// `if p.TryAcquire()` / `if !p.TryAcquire()` hold the slot only on
+	// the edge where the call succeeded, so such conditions take effect
+	// on that edge rather than at the node.
+	tryConds := map[ast.Node]tryCond{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if s, ok := n.(*ast.IfStmt); ok {
+			if tc, ok := tryAcquireCond(info, s.Cond); ok {
+				tryConds[s.Cond] = tc
+			}
+		}
+		return true
+	})
 	transfer := func(fact tokenSet, n ast.Node) {
+		if _, ok := tryConds[n]; ok {
+			return
+		}
 		flowInspect(n, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -122,7 +144,7 @@ func poolHeldRegions(pass *Pass, info *types.Info, loader *Loader, body *ast.Blo
 			if fn == nil {
 				return true
 			}
-			if isPoolSlotOp(fn) && fn.Name() == "Acquire" {
+			if isPoolAcquire(fn) {
 				if key := poolKey(call); key != "" {
 					fact[key] = true
 				}
@@ -135,7 +157,20 @@ func poolHeldRegions(pass *Pass, info *types.Info, loader *Loader, body *ast.Blo
 			return true
 		})
 	}
-	flow := runFlow(cfg, transfer)
+	edge := func(fact tokenSet, blk *Block, i int) {
+		if len(blk.Nodes) == 0 {
+			return
+		}
+		tc, ok := tryConds[blk.Nodes[len(blk.Nodes)-1]]
+		if !ok {
+			return
+		}
+		// Succs[0] is the then edge; the other is else or the merge.
+		if (i == 0) != tc.negated {
+			fact[tc.key] = true
+		}
+	}
+	flow := runFlowEdges(cfg, transfer, edge)
 	reported := map[ast.Node]bool{}
 	flow.visit(func(fact tokenSet, n ast.Node) {
 		if len(fact) == 0 {
@@ -163,6 +198,32 @@ func poolHeldRegions(pass *Pass, info *types.Info, loader *Loader, body *ast.Blo
 			return true
 		})
 	})
+}
+
+// tryCond is an if condition that is exactly a TryAcquire call or its
+// negation; key names the pool.
+type tryCond struct {
+	key     string
+	negated bool
+}
+
+func tryAcquireCond(info *types.Info, cond ast.Expr) (tryCond, bool) {
+	negated := false
+	e := ast.Unparen(cond)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		negated = true
+		e = ast.Unparen(u.X)
+	}
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return tryCond{}, false
+	}
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Name() != "TryAcquire" || !isPoolMethod(fn) {
+		return tryCond{}, false
+	}
+	key := poolKey(call)
+	return tryCond{key: key, negated: negated}, key != ""
 }
 
 // inspectWithLits visits a CFG node's expressions like flowInspect but
@@ -195,7 +256,7 @@ func mentionsAcquire(info *types.Info, body *ast.BlockStmt) bool {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(info, call); fn != nil && isPoolSlotOp(fn) && fn.Name() == "Acquire" {
+			if fn := calleeFunc(info, call); fn != nil && isPoolAcquire(fn) {
 				found = true
 			}
 		}
@@ -217,11 +278,20 @@ func poolKey(call *ast.CallExpr) string {
 	return "slot|" + key
 }
 
+// isPoolAcquire reports whether fn opens a slot-held region:
+// (*par.Pool).Acquire or (*par.Pool).TryAcquire.
+func isPoolAcquire(fn *types.Func) bool {
+	return (fn.Name() == "Acquire" || fn.Name() == "TryAcquire") && isPoolMethod(fn)
+}
+
 // isPoolRelease reports whether fn is (*par.Pool).Release.
 func isPoolRelease(fn *types.Func) bool {
-	if fn.Name() != "Release" {
-		return false
-	}
+	return fn.Name() == "Release" && isPoolMethod(fn)
+}
+
+// isPoolMethod reports whether fn is a method of a type named Pool in an
+// internal/par package (structural, so fixtures can impersonate it).
+func isPoolMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false

@@ -176,27 +176,13 @@ func (p *Package) funcDecl(fn *types.Func) *ast.FuncDecl {
 }
 
 // isPoolSlotOp reports whether fn is (*par.Pool).Acquire or
-// (*par.Pool).ForEachErr — the two ways code takes slots from the shared
-// scheduler. Matching is structural (method named Acquire/ForEachErr on
-// a type named Pool in an internal/par package) so fixture modules can
-// impersonate the real pool.
+// (*par.Pool).ForEachErr — the two ways code waits for slots from the
+// shared scheduler. TryAcquire is deliberately not one: it never waits,
+// so code under a slot may use it. Matching is structural (method named
+// Acquire/ForEachErr on a type named Pool in an internal/par package) so
+// fixture modules can impersonate the real pool.
 func isPoolSlotOp(fn *types.Func) bool {
-	if fn.Name() != "Acquire" && fn.Name() != "ForEachErr" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Pool" || named.Obj().Pkg() == nil {
-		return false
-	}
-	return pkgPathWithin(named.Obj().Pkg().Path(), "par")
+	return (fn.Name() == "Acquire" || fn.Name() == "ForEachErr") && isPoolMethod(fn)
 }
 
 // isSyncMethod reports whether call invokes the named method of the

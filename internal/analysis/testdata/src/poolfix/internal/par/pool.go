@@ -31,6 +31,15 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
+func (p *Pool) TryAcquire() bool {
+	select {
+	case <-p.slots:
+		return true
+	default:
+		return false
+	}
+}
+
 func (p *Pool) Release() { p.slots <- struct{}{} }
 
 func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {

@@ -97,3 +97,62 @@ func releaseThenReenter(ctx context.Context, p *par.Pool) error {
 	p.Release()
 	return nested(ctx, p)
 }
+
+// Clean: TryAcquire never waits, so a slot callback may borrow an idle
+// slot with it, directly...
+func borrowIdle(ctx context.Context, p *par.Pool) error {
+	return p.ForEachErr(ctx, 8, func(ctx context.Context, i int) error {
+		if p.TryAcquire() {
+			doWork(i)
+			p.Release()
+		}
+		doWork(i)
+		return nil
+	})
+}
+
+// ...or through a helper.
+func borrowIdleViaHelper(ctx context.Context, p *par.Pool) error {
+	return p.ForEachErr(ctx, 8, func(ctx context.Context, i int) error {
+		lend(p, i)
+		return nil
+	})
+}
+
+func lend(p *par.Pool, i int) {
+	if !p.TryAcquire() {
+		doWork(i)
+		return
+	}
+	defer p.Release()
+	doWork(i)
+}
+
+// The region after a successful TryAcquire is slot-held like an
+// Acquire's: it must not re-enter the pool.
+func tryHeldRegion(ctx context.Context, p *par.Pool) error {
+	if !p.TryAcquire() {
+		return nil
+	}
+	err := nested(ctx, p) // want `use\.nested called while a pool slot is held, and it transitively acquires from the pool`
+	p.Release()
+	return err
+}
+
+func tryHeldRegionDirect(ctx context.Context, p *par.Pool) error {
+	if p.TryAcquire() {
+		err := p.ForEachErr(ctx, 2, inner) // want `Pool\.ForEachErr called while a pool slot is held`
+		p.Release()
+		return err
+	}
+	return nil
+}
+
+// Clean: releasing a borrowed slot before re-entering the pool.
+func tryReleaseThenReenter(ctx context.Context, p *par.Pool) error {
+	if p.TryAcquire() {
+		doWork(0)
+		p.Release()
+	}
+	return nested(ctx, p)
+}

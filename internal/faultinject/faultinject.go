@@ -24,6 +24,9 @@
 // index appended as a final ".<n>" segment. The production sites:
 //
 //	core.block.<i>        one block-synthesis attempt in the pipeline
+//	synth.optimize        one search-tree node about to be optimized
+//	synth.helper.run      one optimizer run on a slot lent to a helper
+//	opt.lbfgs             one L-BFGS outer iteration
 //	jobs.enqueue          a job admission into the questd queue
 //	jobs.journal.append   one job-journal record write
 //	jobs.worker.pickup    a worker claiming a queued job

@@ -62,16 +62,31 @@ var paulis = [3]*linalg.Matrix{gate.PauliX, gate.PauliY, gate.PauliZ}
 // Trajectory runs one Monte-Carlo noise trajectory of the circuit from
 // |0...0> and returns the final statevector.
 func (m Model) Trajectory(c *circuit.Circuit, rng *rand.Rand) linalg.Vector {
+	return m.trajectory(c, opMatrices(c), rng)
+}
+
+// opMatrices builds the gate matrix of every op of c, in op order. A run
+// builds them once and shares them, read-only, across its trajectories.
+func opMatrices(c *circuit.Circuit) []*linalg.Matrix {
+	mats := make([]*linalg.Matrix, len(c.Ops))
+	for i, op := range c.Ops {
+		mats[i] = op.Spec().Build(op.Params)
+	}
+	return mats
+}
+
+// trajectory is Trajectory with the op matrices prebuilt by opMatrices.
+func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, rng *rand.Rand) linalg.Vector {
 	state := sim.ZeroState(c.NumQubits)
-	for _, op := range c.Ops {
-		sim.ApplyOp(state, c.NumQubits, op)
+	for i, op := range c.Ops {
+		sim.ApplyMatrixOp(state, c.NumQubits, mats[i], op.Qubits)
 		p := m.OneQubitError
 		if len(op.Qubits) >= 2 {
 			p = m.TwoQubitError
 		}
-		for _, q := range op.Qubits {
+		for j, q := range op.Qubits {
 			if p > 0 && rng.Float64() < p {
-				sim.ApplyMatrixOp(state, c.NumQubits, paulis[rng.Intn(3)], []int{q})
+				sim.ApplyMatrixOp(state, c.NumQubits, paulis[rng.Intn(3)], op.Qubits[j:j+1])
 			}
 			if m.DampingError > 0 {
 				amplitudeDampingJump(state, c.NumQubits, q, m.DampingError, rng)
@@ -232,6 +247,7 @@ func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]
 // count.
 func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, opts Options, probs []float64) error {
 	dim := len(probs)
+	mats := opMatrices(c)
 	chunks := (opts.Trajectories + trajectoryChunk - 1) / trajectoryChunk
 	partials := make([][]float64, chunks)
 	err := par.ForEachErr(ctx, opts.Parallelism, chunks, func(cctx context.Context, ci int) error {
@@ -246,7 +262,7 @@ func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, o
 				return err
 			}
 			rng := rand.New(rand.NewSource(streamSeed(opts.Seed, int64(t))))
-			state := m.Trajectory(c, rng)
+			state := m.trajectory(c, mats, rng)
 			for k, amp := range state {
 				partial[k] += real(amp)*real(amp) + imag(amp)*imag(amp)
 			}

@@ -304,6 +304,63 @@ func TestTrajectoryPreservesNorm(t *testing.T) {
 	}
 }
 
+// referenceTrajectory is the per-op formulation the hoisted trajectory
+// replaced: every op's matrix is rebuilt inside the loop.
+func referenceTrajectory(m Model, c *circuit.Circuit, rng *rand.Rand) []complex128 {
+	state := sim.ZeroState(c.NumQubits)
+	for _, op := range c.Ops {
+		sim.ApplyOp(state, c.NumQubits, op)
+		p := m.OneQubitError
+		if len(op.Qubits) >= 2 {
+			p = m.TwoQubitError
+		}
+		for _, q := range op.Qubits {
+			if p > 0 && rng.Float64() < p {
+				sim.ApplyMatrixOp(state, c.NumQubits, paulis[rng.Intn(3)], []int{q})
+			}
+			if m.DampingError > 0 {
+				amplitudeDampingJump(state, c.NumQubits, q, m.DampingError, rng)
+			}
+		}
+	}
+	return state
+}
+
+func TestHoistedTrajectoryMatchesPerOpBuild(t *testing.T) {
+	c := circuit.New(3)
+	c.H(0)
+	c.RY(1, 0.7)
+	c.CX(0, 1)
+	c.RZ(2, -1.1)
+	c.CX(1, 2)
+	c.U3(0, 0.3, 0.5, -0.2)
+	c.CX(2, 0)
+	models := []Model{
+		Uniform(0.2),
+		{OneQubitError: 0.05, TwoQubitError: 0.3, DampingError: 0.1},
+		{},
+	}
+	for mi, m := range models {
+		// One matrix set shared by many trajectories, as a run shares it:
+		// it must not be mutated by any of them.
+		mats := opMatrices(c)
+		for seed := int64(1); seed <= 25; seed++ {
+			want := referenceTrajectory(m, c, rand.New(rand.NewSource(seed)))
+			for name, got := range map[string][]complex128{
+				"trajectory": m.trajectory(c, mats, rand.New(rand.NewSource(seed))),
+				"Trajectory": m.Trajectory(c, rand.New(rand.NewSource(seed))),
+			} {
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("model %d seed %d: %s amplitude %d = %v, per-op build gives %v",
+							mi, seed, name, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAmplitudeDampingJumpSingleQubit(t *testing.T) {
 	// |1> with damping gamma: P(0) -> gamma exactly (averaged).
 	c := circuit.New(1)

@@ -26,10 +26,14 @@ import (
 // concurrent runs, and any interleaving. Tests assert both properties.
 //
 // Nesting rule: fn must not itself acquire from the same Pool (directly
-// or transitively). All slots could then be held by callers blocked on
-// their own children — deadlock. Nested parallel loops (e.g. pairwise
-// distance fills inside block synthesis) use the plain ForEach helpers,
-// which spawn their own short-lived goroutines.
+// or transitively) with Acquire or ForEachErr. All slots could then be
+// held by callers blocked on their own children — deadlock. The one
+// pool operation allowed under a slot is TryAcquire: it never waits, so
+// it can only borrow a slot that is idle at that instant (block
+// synthesis lends its optimizer runs to such slots, see PoolFrom).
+// Other nested parallel loops (e.g. pairwise distance fills inside
+// block synthesis) use the plain ForEach helpers, which spawn their own
+// short-lived goroutines.
 type Pool struct {
 	slots chan struct{}
 }
@@ -70,14 +74,39 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release returns a slot taken by Acquire.
+// TryAcquire takes a slot only if one is free right now and reports
+// whether it did; it never waits. A true result must be paired with
+// Release. Because it cannot block, it is the one pool operation code
+// already running under a slot may use (see the nesting rule).
+func (p *Pool) TryAcquire() bool {
+	select {
+	case <-p.slots:
+		return true
+	default:
+		return false
+	}
+}
+
+// Release returns a slot taken by Acquire or TryAcquire.
 func (p *Pool) Release() { p.slots <- struct{}{} }
+
+type poolCtxKey struct{}
+
+// PoolFrom returns the Pool whose ForEachErr handed ctx to its fn, or
+// nil when ctx does not come from a pool slot. Code running under a
+// slot uses it to lend work to idle slots with TryAcquire; it must not
+// call Acquire or ForEachErr on the result.
+func PoolFrom(ctx context.Context) *Pool {
+	p, _ := ctx.Value(poolCtxKey{}).(*Pool)
+	return p
+}
 
 // ForEachErr is par.ForEachErr drawing its concurrency from the shared
 // pool instead of a private worker count: fn(ctx, i) runs for every i in
 // [0, n), each index under one pool slot, with the same error-by-lowest-
 // index, cancellation, and panic-isolation semantics. At most Size()
-// indices across ALL concurrent callers run at once.
+// indices across ALL concurrent callers run at once. The ctx handed to
+// fn carries the pool (see PoolFrom).
 func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if err := budget.Check(ctx); err != nil {
 		return err
@@ -85,8 +114,9 @@ func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(ctx context.Contex
 	if n <= 0 {
 		return nil
 	}
-	gctx, cancel := context.WithCancel(ctx)
+	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	gctx := context.WithValue(cctx, poolCtxKey{}, p)
 
 	spawn := p.Size()
 	if spawn > n {

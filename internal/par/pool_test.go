@@ -175,3 +175,82 @@ func TestPoolZeroItems(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPoolTryAcquireNeverWaits(t *testing.T) {
+	p := NewPool(2)
+	if !p.TryAcquire() || !p.TryAcquire() {
+		t.Fatal("TryAcquire failed on a pool with free slots")
+	}
+	if p.TryAcquire() {
+		t.Fatal("TryAcquire succeeded on a full pool")
+	}
+	p.Release()
+	if !p.TryAcquire() {
+		t.Fatal("TryAcquire failed after Release")
+	}
+	p.Release()
+	p.Release()
+	// Both slots are back: a blocking Acquire must not wait.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		if err := p.Acquire(ctx); err != nil {
+			t.Fatalf("Acquire %d after TryAcquire/Release = %v", i, err)
+		}
+	}
+	p.Release()
+	p.Release()
+}
+
+func TestPoolTryAcquireSharesTheSlotBudget(t *testing.T) {
+	// Slots taken with TryAcquire under a ForEachErr slot come out of the
+	// same budget: with one index running and one slot borrowed, a
+	// third borrower finds the pool full.
+	p := NewPool(2)
+	err := p.ForEachErr(context.Background(), 1, func(context.Context, int) error {
+		if !p.TryAcquire() {
+			return errors.New("idle slot not lent")
+		}
+		defer p.Release()
+		if p.TryAcquire() {
+			p.Release()
+			return errors.New("TryAcquire exceeded Size()")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPoolFromForEachErrCtx(t *testing.T) {
+	if PoolFrom(context.Background()) != nil {
+		t.Fatal("PoolFrom of a plain ctx is non-nil")
+	}
+	for _, slots := range []int{1, 3} {
+		p := NewPool(slots)
+		var wrong atomic.Int64
+		err := p.ForEachErr(context.Background(), 6, func(ctx context.Context, _ int) error {
+			if PoolFrom(ctx) != p {
+				wrong.Add(1)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrong.Load() != 0 {
+			t.Fatalf("slots=%d: %d callbacks saw a ctx without their pool", slots, wrong.Load())
+		}
+	}
+	// A plain ForEachErr does not lend anything.
+	err := ForEachErr(context.Background(), 2, 4, func(ctx context.Context, _ int) error {
+		if PoolFrom(ctx) != nil {
+			return errors.New("plain ForEachErr ctx carries a pool")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

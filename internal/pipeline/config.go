@@ -101,8 +101,9 @@ type Config struct {
 	// blocks in flight machine-wide — small circuits stop
 	// undersubscribing and concurrent runs stop oversubscribing. Results
 	// are bit-identical with or without it, for any pool size (the
-	// slot-write determinism rule; asserted by tests). Nil keeps the
-	// historical per-run pool. Scheduler never enters artifact keys.
+	// slot-write determinism rule; asserted by tests). Nil gives each
+	// run a pool of its own with Parallelism slots. Scheduler never
+	// enters artifact keys.
 	Scheduler *par.Pool
 }
 

@@ -122,16 +122,19 @@ func SelectionStage(cfg Config) Stage[*SynthesisArtifact, *SelectionArtifact] {
 	})
 }
 
-// forEachBlock fans the per-block synthesis loop out: over the shared
-// cross-run scheduler when Config.Scheduler is set (one machine-wide
-// slot budget across every concurrent compilation), otherwise over a
-// private Parallelism-sized pool. Both sides follow the slot-write rule,
-// so the choice never changes results.
+// forEachBlock fans the per-block synthesis loop out over a pool: the
+// shared cross-run scheduler when Config.Scheduler is set (one
+// machine-wide slot budget across every concurrent compilation),
+// otherwise a Parallelism-sized pool of this run's own. Either way each
+// block's search can lend its optimizer runs to the pool's idle slots
+// (synth.SynthesizeCtx). Both follow the slot-write rule, so the choice
+// never changes results.
 func forEachBlock(ctx context.Context, cfg Config, n int, fn func(ctx context.Context, i int) error) error {
-	if cfg.Scheduler != nil {
-		return cfg.Scheduler.ForEachErr(ctx, n, fn)
+	pool := cfg.Scheduler
+	if pool == nil {
+		pool = par.NewPool(cfg.Parallelism)
 	}
-	return par.ForEachErr(ctx, cfg.Parallelism, n, fn)
+	return pool.ForEachErr(ctx, n, fn)
 }
 
 // exactOnlyBlock builds the degraded approximation set for a block: its

@@ -1,10 +1,13 @@
 package synth
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/par"
 )
 
 func benchObjective3Q(b *testing.B) (*objective, []float64, []float64) {
@@ -85,5 +88,30 @@ func BenchmarkSynthesizeHarvest3Q(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSynthesize3QBlock is one pipeline-shaped block search (QUEST
+// harvest over every CNOT count up to 6) run under a pool slot, as the
+// synthesis stage runs it. With 2 slots the search lends each depth's
+// optimizer runs to the idle one; the result is the same either way.
+func BenchmarkSynthesize3QBlock(b *testing.B) {
+	target := linalg.RandomUnitary(8, rand.New(rand.NewSource(5)))
+	opts := Options{Threshold: 0.0125, MaxCNOTs: 6, HarvestAll: true, Seed: 9}
+	for _, slots := range []int{1, 2} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			p := par.NewPool(slots)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := p.ForEachErr(context.Background(), 1, func(ctx context.Context, _ int) error {
+					_, err := SynthesizeCtx(ctx, target, opts)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

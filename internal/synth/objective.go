@@ -186,12 +186,12 @@ func swapCols23(dst *[16]complex128) {
 	}
 }
 
-// objPool amortizes objective scratch across the nodes of one synthesis
-// run. Both search strategies call optimizeNode sequentially and every
-// node shares the same target, so the U† copy and the dim×dim matrix
-// chain are built once per Synthesize instead of once per node. A pool
-// (and the objectives borrowing from it) must not be shared across
-// goroutines.
+// objPool amortizes objective scratch across the runs of one synthesis
+// search. Every run shares the same target, so the U† copy and the
+// dim×dim matrix chain are built once per worker instead of once per
+// node. A pool (and the objective it lends) is owned by one goroutine at
+// a time; helpers that run a depth's optimizations in parallel each get
+// their own sibling pool.
 type objPool struct {
 	target *linalg.Matrix
 	mdag   *linalg.Matrix
@@ -205,21 +205,28 @@ type objPool struct {
 	trig   []segTrig
 	gmats  [][16]complex128
 	fwd    []*linalg.Matrix
+	obj    objective // the objective newObjectiveFrom lends
 }
 
 func newObjPool(target *linalg.Matrix) *objPool {
-	dim := target.Rows
-	p := &objPool{
-		target: target,
-		mdag:   target.Dagger(),
-		dim:    dim,
-		ident:  linalg.New(dim, dim),
-		bwd:    linalg.New(dim, dim),
-		vbuf:   linalg.New(dim, dim),
-		tbuf:   make([]complex128, 4*dim),
-	}
+	p := &objPool{target: target, mdag: target.Dagger(), dim: target.Rows}
+	p.ident = linalg.New(p.dim, p.dim)
 	setIdentity(p.ident)
-	return p
+	return p.sibling()
+}
+
+// sibling returns a pool for another goroutine: it shares p's read-only
+// target, U† and identity and owns fresh mutable scratch.
+func (p *objPool) sibling() *objPool {
+	return &objPool{
+		target: p.target,
+		mdag:   p.mdag,
+		dim:    p.dim,
+		ident:  p.ident,
+		bwd:    linalg.New(p.dim, p.dim),
+		vbuf:   linalg.New(p.dim, p.dim),
+		tbuf:   make([]complex128, 4*p.dim),
+	}
 }
 
 // objective evaluates f(θ) = 1 - |Tr(U†V(θ))|²/N² and its gradient for an
@@ -264,7 +271,7 @@ func newObjectiveFrom(p *objPool, a *ansatz) *objective {
 	}
 	p.fwd = append(p.fwd[:0], p.ident)
 	p.fwd = append(p.fwd, p.mats[:ns]...)
-	return &objective{
+	p.obj = objective{
 		a:      a,
 		target: p.target,
 		mdag:   p.mdag,
@@ -277,6 +284,7 @@ func newObjectiveFrom(p *objPool, a *ansatz) *objective {
 		vbuf:   p.vbuf,
 		tbuf:   p.tbuf,
 	}
+	return &p.obj
 }
 
 // setIdentity resets m to the identity without allocating.

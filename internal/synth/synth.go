@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/budget"
 	"repro/internal/circuit"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/opt"
+	"repro/internal/par"
 )
 
 // Candidate is one synthesized circuit for a target unitary, with its
@@ -71,12 +75,6 @@ type Options struct {
 	KeepPerDepth int
 	// Seed makes the search deterministic. Default 1.
 	Seed int64
-	// Strategy selects the search policy: StrategyBeam (default) or
-	// StrategyAStar (LEAP's best-first search).
-	Strategy Strategy
-	// NodeBudget bounds the number of node expansions for StrategyAStar
-	// (default 40).
-	NodeBudget int
 }
 
 // Canonical returns the options with every default resolved for an
@@ -122,9 +120,6 @@ func (o *Options) defaults(n int) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.NodeBudget == 0 {
-		o.NodeBudget = 40
-	}
 }
 
 type node struct {
@@ -145,6 +140,11 @@ func Synthesize(target *linalg.Matrix, opts Options) (Result, error) {
 // a typed, wrapped budget error (errors.Is ErrDeadline / ErrCancelled),
 // so callers can keep partial approximation sets. When nothing was
 // harvested yet, only the error is returned.
+//
+// When ctx comes from a par.Pool slot (par.PoolFrom), each depth's
+// optimizer runs are shared with slots of that pool that are idle at the
+// time (see optimizeLevel). The Result is bit-identical with or without
+// a pool, for every pool size and interleaving.
 func SynthesizeCtx(ctx context.Context, target *linalg.Matrix, opts Options) (Result, error) {
 	if !target.IsSquare() {
 		return Result{}, fmt.Errorf("synth: target is %dx%d, want square", target.Rows, target.Cols)
@@ -160,7 +160,6 @@ func SynthesizeCtx(ctx context.Context, target *linalg.Matrix, opts Options) (Re
 		return Result{}, fmt.Errorf("synth: target is not unitary")
 	}
 	opts.defaults(n)
-	rng := rand.New(rand.NewSource(opts.Seed))
 
 	pairs := opts.CouplingPairs
 	if pairs == nil {
@@ -171,55 +170,18 @@ func SynthesizeCtx(ctx context.Context, target *linalg.Matrix, opts Options) (Re
 		}
 	}
 
-	h := &harvester{keep: opts.KeepPerDepth}
-	evals := 0
-	// One scratch pool serves every node: the searches optimize nodes
-	// sequentially, so U† and the forward-chain matrices are shared.
-	pool := newObjPool(target)
-
-	optimizeNode := func(a *ansatz, warm []float64) (node, error) {
-		best := node{a: a, dist: math.Inf(1)}
-		if err := budget.Check(ctx); err != nil {
-			return best, err
-		}
-		if err := faultinject.Fire("synth.optimize"); err != nil {
-			return best, err
-		}
-		obj := newObjectiveFrom(pool, a)
-		starts := 1 + opts.Restarts
-		for s := 0; s < starts; s++ {
-			x0 := make([]float64, a.nparams)
-			if s == 0 && warm != nil {
-				copy(x0, warm)
-				// Perturb the fresh (uninitialized) tail slightly so new
-				// rotations start near identity but break symmetry.
-				for i := len(warm); i < len(x0); i++ {
-					x0[i] = rng.NormFloat64() * 0.1
-				}
-			} else {
-				for i := range x0 {
-					x0[i] = rng.Float64()*2*math.Pi - math.Pi
-				}
-			}
-			res, err := opt.LBFGSCtx(ctx, obj.valueGrad, x0, opt.LBFGSOptions{MaxIterations: 150})
-			evals += res.Evaluations
-			if res.F < best.dist*best.dist || best.params == nil {
-				d := math.Sqrt(math.Max(0, res.F))
-				if d < best.dist {
-					best.dist = d
-					best.params = res.X
-				}
-			}
-			if err != nil {
-				return best, err
-			}
-		}
-		return best, nil
+	s := &search{
+		ctx:     ctx,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		starts:  1 + opts.Restarts,
+		lender:  par.PoolFrom(ctx),
+		target:  target,
+		h:       &harvester{keep: opts.KeepPerDepth},
+		scratch: []*objPool{newObjPool(target)},
 	}
-
 	finish := func(stopErr error) (Result, error) {
-		res, ok := h.result()
-		res.Evaluations = evals
+		res, ok := s.h.result()
+		res.Evaluations = s.evals
 		if stopErr != nil {
 			if !ok {
 				return Result{}, fmt.Errorf("synth: %w", stopErr)
@@ -232,38 +194,32 @@ func SynthesizeCtx(ctx context.Context, target *linalg.Matrix, opts Options) (Re
 		return res, nil
 	}
 
-	if opts.Strategy == StrategyAStar {
-		return finish(searchAStar(target, pairs, opts, optimizeNode, h))
-	}
-
-	// Depth 0: rotation-only seed.
-	root, stopErr := optimizeNode(newSeedAnsatz(n), nil)
-	h.add(root, target)
+	// Depth 0: the rotation-only seed, a one-node level.
+	beam, stopErr := s.optimizeLevel([]pending{{a: newSeedAnsatz(n)}})
 	if stopErr != nil {
 		return finish(stopErr)
 	}
-	beam := []node{root}
-	found := root.dist < opts.Threshold
+	found := beam[0].dist < opts.Threshold
 
-depths:
+	var level []pending
 	for depth := 1; depth <= opts.MaxCNOTs; depth++ {
 		if found && !opts.HarvestAll {
 			break
 		}
-		var children []node
+		level = level[:0]
 		for _, parent := range beam {
 			for _, pr := range pairs {
-				child := parent.a.withLayer(pr[0], pr[1])
-				nd, err := optimizeNode(child, parent.params)
-				h.add(nd, target)
-				if err != nil {
-					stopErr = err
-					break depths
-				}
-				children = append(children, nd)
-				if nd.dist < opts.Threshold {
-					found = true
-				}
+				level = append(level, pending{a: parent.a.withLayer(pr[0], pr[1]), warm: parent.params})
+			}
+		}
+		children, err := s.optimizeLevel(level)
+		if err != nil {
+			stopErr = err
+			break
+		}
+		for _, nd := range children {
+			if nd.dist < opts.Threshold {
+				found = true
 			}
 		}
 		sort.Slice(children, func(i, j int) bool { return children[i].dist < children[j].dist })
@@ -278,6 +234,218 @@ depths:
 	}
 
 	return finish(stopErr)
+}
+
+// pending is a tree node awaiting optimization: its template and the
+// parent's parameters it warm-starts from (nil for the root).
+type pending struct {
+	a    *ansatz
+	warm []float64
+}
+
+// run is one L-BFGS optimization of a depth: one start of one node.
+type run struct {
+	a  *ansatz
+	x0 []float64
+}
+
+// runResult is a run's outcome. A *par.PanicError err is a panic
+// recovered on a helper.
+type runResult struct {
+	res opt.Result
+	err error
+}
+
+// search is the state of one SynthesizeCtx call. Its buffers are reused
+// from depth to depth.
+type search struct {
+	ctx    context.Context
+	rng    *rand.Rand
+	starts int
+	// lender is the pool the caller runs under (nil: no pool). Helpers
+	// only ever TryAcquire from it.
+	lender *par.Pool
+	target *linalg.Matrix
+	h      *harvester
+	evals  int
+	// scratch[0] is the calling goroutine's objective scratch and
+	// scratch[w] helper w's, built the first time helper w runs.
+	scratch []*objPool
+	runs    []run
+	results []runResult
+	x0      []float64 // backing store of every run's start point
+	// Per-depth coordination of runAll's workers.
+	next    atomic.Int64 // next run index to claim
+	stop    atomic.Bool  // a run failed (or the caller panicked)
+	helpers sync.WaitGroup
+}
+
+// optimizeLevel optimizes every node of one depth and harvests them. It
+// returns the optimized nodes in level order, or the first error in
+// node/start order (with the nodes before it harvested, as a sequential
+// search would have left them). It works in three steps:
+//
+//  1. Draw, sequentially and in level order: the per-node budget check
+//     and fault site, then every start point from the search RNG. No
+//     draw depends on an optimization result, so the RNG stream is the
+//     one a node-by-node search consumes.
+//  2. Run the depth's independent L-BFGS runs on the calling goroutine
+//     plus helpers on idle slots of the lender pool (runAll).
+//  3. Fold the run results in node/start order with the best-of-starts
+//     rule, summing evaluations and stopping at the first error.
+//
+// Each run's result depends only on its template, start point and the
+// target — never on which goroutine or scratch computed it — and the
+// fold reads them in a fixed order, so the harvest, the beam and the
+// evaluation count are bit-identical for every pool size and
+// interleaving.
+func (s *search) optimizeLevel(level []pending) ([]node, error) {
+	// 1. Draw.
+	size := 0
+	for _, p := range level {
+		size += s.starts * p.a.nparams
+	}
+	if cap(s.x0) < size {
+		s.x0 = make([]float64, size)
+	}
+	buf := s.x0[:size]
+	s.runs = s.runs[:0]
+	var drawErr error
+	drawn := 0
+	for _, p := range level {
+		if drawErr = budget.Check(s.ctx); drawErr == nil {
+			drawErr = faultinject.Fire("synth.optimize")
+		}
+		if drawErr != nil {
+			break
+		}
+		for st := 0; st < s.starts; st++ {
+			x0 := buf[:p.a.nparams:p.a.nparams]
+			buf = buf[p.a.nparams:]
+			if st == 0 && p.warm != nil {
+				copy(x0, p.warm)
+				// Perturb the fresh (uninitialized) tail slightly so new
+				// rotations start near identity but break symmetry.
+				for i := len(p.warm); i < len(x0); i++ {
+					x0[i] = s.rng.NormFloat64() * 0.1
+				}
+			} else {
+				for i := range x0 {
+					x0[i] = s.rng.Float64()*2*math.Pi - math.Pi
+				}
+			}
+			s.runs = append(s.runs, run{a: p.a, x0: x0})
+		}
+		drawn++
+	}
+
+	// 2. Run.
+	s.runAll()
+
+	// 3. Fold.
+	nodes := make([]node, 0, drawn)
+	for i := 0; i < drawn; i++ {
+		best := node{a: level[i].a, dist: math.Inf(1)}
+		for st := 0; st < s.starts; st++ {
+			r := &s.results[i*s.starts+st]
+			if pe, ok := r.err.(*par.PanicError); ok {
+				panic(pe)
+			}
+			s.evals += r.res.Evaluations
+			if r.res.F < best.dist*best.dist || best.params == nil {
+				d := math.Sqrt(math.Max(0, r.res.F))
+				if d < best.dist {
+					best.dist = d
+					best.params = r.res.X
+				}
+			}
+			if r.err != nil {
+				s.h.add(best, s.target)
+				return nodes, r.err
+			}
+		}
+		s.h.add(best, s.target)
+		nodes = append(nodes, best)
+	}
+	return nodes, drawErr
+}
+
+// runAll executes s.runs into s.results. The calling goroutine always
+// works; without a lender pool it works alone. With one, up to Size()-1
+// helpers join it, each on a slot taken with TryAcquire — only a slot
+// that is idle right now, never a wait, so lending cannot deadlock and
+// the pool never has more than Size() busy slots. Workers claim runs in
+// index order and stop claiming after a failed run; every run before the
+// first failure has then been claimed, so the fold never reads an
+// unclaimed slot. A helper's panic is recovered into its run's result
+// (as a *par.PanicError, re-raised by the fold on the calling
+// goroutine); a panic on the calling goroutine stops the helpers and
+// waits for them before it propagates, so every borrowed slot is back by
+// the time runAll returns or unwinds.
+func (s *search) runAll() {
+	n := len(s.runs)
+	if cap(s.results) < n {
+		s.results = make([]runResult, n)
+	}
+	s.results = s.results[:n]
+	clear(s.results)
+	s.next.Store(0)
+	s.stop.Store(false)
+
+	defer s.helpers.Wait()
+	// Also on a panic of the caller's: helpers stop claiming runs.
+	defer s.stop.Store(true)
+	if s.lender != nil {
+		for w := 1; w < n && w < s.lender.Size(); w++ {
+			if !s.lender.TryAcquire() {
+				break
+			}
+			if w == len(s.scratch) {
+				s.scratch = append(s.scratch, s.scratch[0].sibling())
+			}
+			s.helpers.Add(1)
+			go func(w int, sc *objPool) {
+				defer s.helpers.Done()
+				defer s.lender.Release()
+				s.work(w, sc)
+			}(w, s.scratch[w])
+		}
+	}
+	s.work(0, s.scratch[0])
+}
+
+// work claims and executes runs until none are left or one has failed.
+func (s *search) work(worker int, sc *objPool) {
+	for !s.stop.Load() {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.runs) {
+			return
+		}
+		s.results[i] = s.execute(worker, sc, i)
+		if s.results[i].err != nil {
+			s.stop.Store(true)
+		}
+	}
+}
+
+// execute performs run i on worker's scratch. Helpers (worker > 0) run
+// it under the panic isolation of a pool slot and fire the
+// "synth.helper.run" fault site first.
+func (s *search) execute(worker int, sc *objPool, i int) (r runResult) {
+	if worker > 0 {
+		defer func() {
+			if v := recover(); v != nil {
+				r = runResult{err: &par.PanicError{Worker: worker, Index: i, Value: v, Stack: debug.Stack()}}
+			}
+		}()
+		if err := faultinject.Fire("synth.helper.run"); err != nil {
+			return runResult{err: err}
+		}
+	}
+	ru := &s.runs[i]
+	obj := newObjectiveFrom(sc, ru.a)
+	r.res, r.err = opt.LBFGSCtx(s.ctx, obj.valueGrad, ru.x0, opt.LBFGSOptions{MaxIterations: 150})
+	return r
 }
 
 // harvester retains the best candidates per CNOT count.

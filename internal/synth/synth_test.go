@@ -274,7 +274,7 @@ func TestCanonicalIdempotent(t *testing.T) {
 		{
 			Threshold: 0.01, Beam: 3, ReseedEvery: 2, Restarts: 2,
 			CouplingPairs: [][2]int{{0, 1}}, HarvestAll: true, KeepPerDepth: 6,
-			Seed: 9, Strategy: StrategyAStar, NodeBudget: 12,
+			Seed: 9,
 		},
 	}
 	for _, maxCNOTs := range []int{-7, -1, 0, 1, 5} {
@@ -296,68 +296,5 @@ func TestCanonicalIdempotent(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-func TestAStarFindsExactTwoQubit(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	target := linalg.RandomUnitary(4, rng)
-	res, err := Synthesize(target, Options{
-		Strategy: StrategyAStar, Threshold: 1e-5, MaxCNOTs: 3, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Distance > 1e-4 {
-		t.Errorf("A* 2-qubit distance = %g (%d CNOTs)", res.Best.Distance, res.Best.CNOTs)
-	}
-}
-
-func TestAStarHarvestMatchesDepthRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	target := linalg.RandomUnitary(4, rng)
-	res, err := Synthesize(target, Options{
-		Strategy: StrategyAStar, MaxCNOTs: 3, HarvestAll: true,
-		Threshold: 0.1, NodeBudget: 15, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Candidates {
-		if c.CNOTs > 3 {
-			t.Fatalf("A* candidate exceeds MaxCNOTs: %d", c.CNOTs)
-		}
-	}
-	depths := map[int]bool{}
-	for _, c := range res.Candidates {
-		depths[c.CNOTs] = true
-	}
-	if len(depths) < 2 {
-		t.Errorf("A* harvested only %d depths", len(depths))
-	}
-}
-
-func TestAStarDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	target := linalg.RandomUnitary(4, rng)
-	opts := Options{Strategy: StrategyAStar, MaxCNOTs: 2, HarvestAll: true, NodeBudget: 10, Seed: 5}
-	r1, err1 := Synthesize(target, opts)
-	r2, err2 := Synthesize(target, opts)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if r1.Best.Distance != r2.Best.Distance || len(r1.Candidates) != len(r2.Candidates) {
-		t.Error("A* not deterministic for fixed seed")
-	}
-}
-
-func TestAStarRotationOnly(t *testing.T) {
-	target := linalg.Kron(gate.RYMatrix(0.3), gate.RZMatrix(0.9))
-	res, err := Synthesize(target, Options{Strategy: StrategyAStar, MaxCNOTs: -1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.CNOTs != 0 || res.Best.Distance > 1e-6 {
-		t.Errorf("A* rotation-only: %d CNOTs at %g", res.Best.CNOTs, res.Best.Distance)
 	}
 }

@@ -408,8 +408,11 @@ func (c *Cache) key(target *linalg.Matrix, copts synth.Options) uint64 {
 		wu(0)
 	}
 	wu(uint64(copts.Seed))
-	wu(uint64(int64(copts.Strategy)))
-	wu(uint64(int64(copts.NodeBudget)))
+	// Retired options (the A* search strategy and its node budget) keep
+	// their canonical values 0 and 40 in the key, so entries persisted
+	// before their removal stay reachable.
+	wu(0)
+	wu(40)
 	wu(uint64(len(copts.CouplingPairs)))
 	for _, p := range copts.CouplingPairs {
 		wu(uint64(int64(p[0])))

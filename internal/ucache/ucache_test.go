@@ -221,6 +221,31 @@ func TestDefaultedOptionsShareEntries(t *testing.T) {
 	}
 }
 
+func TestKeyBytesUnchangedByRetiredOptions(t *testing.T) {
+	// Persisted journals address entries by key, so the key of every
+	// canonical option set must survive option removals. These values
+	// were recorded while synth.Options still carried the A* Strategy
+	// and NodeBudget fields (canonically 0 and 40).
+	target := linalg.RandomUnitary(8, rand.New(rand.NewSource(42)))
+	cases := []synth.Options{
+		{},
+		{HarvestAll: true, MaxCNOTs: 5, Threshold: 0.0125, Beam: 2, Restarts: 1, KeepPerDepth: 4, Seed: 77},
+		{MaxCNOTs: -1, Seed: 3, CouplingPairs: [][2]int{{0, 1}, {1, 2}}},
+	}
+	want := map[float64][]uint64{
+		0:    {0xf2e65ffa999f36b8, 0xebf4ac622034a9bd, 0xca0f6ad2e695a353},
+		1e-3: {0xb6300c751bdc0e17, 0xace6e925a95ab64a, 0x1cbf39dbe3112a0c},
+	}
+	for tol, keys := range want {
+		c := New(0, tol)
+		for i, o := range cases {
+			if got := c.key(target, o.Canonical(3)); got != keys[i] {
+				t.Errorf("tol %g case %d: key %#016x, recorded %#016x", tol, i, got, keys[i])
+			}
+		}
+	}
+}
+
 func TestRotationOnlyCacheTransparent(t *testing.T) {
 	// A rotation-only request (MaxCNOTs < 0) must run the same search
 	// through the cache as without it, on the miss and on the hit: the
