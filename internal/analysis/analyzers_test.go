@@ -47,7 +47,7 @@ func TestLockFlow(t *testing.T) {
 
 func TestFsyncOrder(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.FsyncOrder,
-		"fsyncfix/internal/jobs", "fsyncfix/outofscope")
+		"fsyncfix/internal/journal", "fsyncfix/internal/jobs", "fsyncfix/outofscope")
 }
 
 func TestPoolNoNest(t *testing.T) {

@@ -7,30 +7,32 @@ import (
 )
 
 // FsyncOrder enforces the fsync-before-ack rule in the durability
-// packages (internal/jobs, internal/ucache): a journal write must reach
-// stable storage before the operation reports success. Concretely, on
-// every path of a function body, a Write/WriteString/WriteAt on an
-// *os.File must be followed by a Sync on the same file — either the
-// method itself or a seam function whose name contains "sync" taking the
-// file as its first argument (the packages' syncJournal/syncFile test
-// seams) — before a `return nil` acknowledges the operation.
+// packages (internal/journal, which owns every fsync of the shared
+// journal format, and its callers internal/jobs and internal/ucache): a
+// journal write must reach stable storage before the operation reports
+// success. Concretely, on every path of a function body, a
+// Write/WriteString/WriteAt on an *os.File must be followed by a Sync on
+// the same file — either the method itself or a seam function whose name
+// contains "sync" taking the file as its first argument (journal.Sync, the
+// shared test seam) — before a `return nil` acknowledges the operation.
 //
 // The check fires only at returns whose final result is the literal nil
 // in a function whose last result is an error: error returns (`return
 // j.err`, `return fmt.Errorf(...)`) are failure paths where the write is
-// moot, and void functions (ucache's best-effort appendRecord, which
-// deliberately skips the sync and is re-written on the next rewrite) are
-// out of scope by construction. Close is NOT a sync: close(2) does not
-// guarantee durability.
+// moot, and void functions (journal.File.Append, the best-effort append
+// the synthesis cache uses, which deliberately skips the sync and is
+// re-written on the next compaction) are out of scope by construction.
+// Close is NOT a sync: close(2) does not guarantee durability.
 var FsyncOrder = &Analyzer{
 	Name: "fsyncorder",
-	Doc: "in internal/jobs and internal/ucache, every journal write must " +
-		"be Synced on all paths before success is returned (fsync-before-ack)",
+	Doc: "in internal/journal, internal/jobs and internal/ucache, every " +
+		"journal write must be Synced on all paths before success is " +
+		"returned (fsync-before-ack)",
 	Run: runFsyncOrder,
 }
 
 func runFsyncOrder(pass *Pass) error {
-	if !pkgPathWithin(pass.Pkg.Path, "jobs", "ucache") {
+	if !pkgPathWithin(pass.Pkg.Path, "journal", "jobs", "ucache") {
 		return nil
 	}
 	info := pass.Pkg.Info
@@ -128,7 +130,7 @@ func dirtyFileKey(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 // syncedFileKey classifies a call as a durability barrier for a file:
 // file.Sync(), or seam(file, ...) where the callee object's name
-// contains "sync" (the packages' syncJournal/syncFile variables).
+// contains "sync" (the journal.Sync seam variable).
 func syncedFileKey(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Sync" {
 		if recv := callReceiver(call); recv != nil && isOSFileExpr(info, recv) {

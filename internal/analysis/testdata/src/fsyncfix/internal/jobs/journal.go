@@ -1,4 +1,4 @@
-// Package jobs impersonates the real internal/jobs journal so the
+// Package jobs impersonates a journal writer inside internal/jobs so the
 // fsyncorder fixtures run against the package scope the check guards.
 package jobs
 
@@ -8,7 +8,7 @@ type journal struct {
 	f *os.File
 }
 
-// syncJournal mirrors the real package's crash-test seam: a func-typed
+// syncJournal is a sync seam in the shape of journal.Sync: a func-typed
 // variable, not a method, so the analyzer must classify it by name.
 var syncJournal = func(f *os.File) error { return f.Sync() }
 

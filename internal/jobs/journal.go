@@ -1,30 +1,24 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 )
 
 // The job journal is an append-only, checksummed record of every job
-// transition, one record per line:
-//
-//	<16 hex digits> <JSON payload>\n
-//
-// — the same discipline as internal/ucache's disk journal: the hex
-// prefix is the FNV-1a 64 checksum of the payload, the first line is a
-// header pinning the format version, and a record whose checksum or
-// JSON does not verify is skipped at replay (a crash can only tear the
-// final line; bit rot can only lose single transitions, and the replay
-// degrades gracefully — see rebuild in manager.go). Every append is
-// fsynced before Submit/Done is acknowledged: an acknowledged
-// transition survives power loss.
+// transition, one record per line, in the internal/journal format shared
+// with the synthesis cache: the first line is a header pinning the format
+// version, and a record whose checksum or JSON does not verify is skipped
+// at replay (a crash can only tear the final line; bit rot can only lose
+// single transitions, and the replay degrades gracefully — see rebuild in
+// manager.go). Every append is committed (fsynced) before Submit/Done is
+// acknowledged: an acknowledged transition survives power loss.
 //
 // Record vocabulary (op → fields):
 //
@@ -37,7 +31,7 @@ import (
 //	state   job, state, attempt...   compaction snapshot of one job
 //
 // Compaction rewrites the journal as header + one "state" record per
-// retained job (tmp file, fsync, atomic rename) once the record count
+// retained job (journal.File.Replace) once the record count
 // exceeds compactFactor × the live-job count.
 
 // journalVersion pins the record schema; an unknown version is moved
@@ -64,10 +58,6 @@ const (
 	compactMin    = 256
 )
 
-// syncJournal is the fsync seam (swap in tests to observe or fail the
-// durability point).
-var syncJournal = func(f *os.File) error { return f.Sync() }
-
 type journalHeader struct {
 	V int `json:"v"`
 }
@@ -89,13 +79,12 @@ type record struct {
 	State State `json:"state,omitempty"`
 }
 
-// journal is the durable side of a Manager.
-type journal struct {
+// jobJournal is the durable side of a Manager: an internal/journal file
+// whose every append is committed (fsynced) before it is acknowledged.
+type jobJournal struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
-	records int   // body records since last rewrite (live + superseded)
-	err     error // first persistence failure; surfaced by health/close
+	f       *journal.File
+	records int // body records since last rewrite (live + superseded)
 }
 
 // openJournal opens (or creates) the journal under dir and returns the
@@ -103,13 +92,12 @@ type journal struct {
 // file, or a version-mismatched header starts fresh (the old journal is
 // preserved as .old for post-mortems); torn or corrupt body lines are
 // skipped.
-func openJournal(dir string) (*journal, []record, error) {
+func openJournal(dir string) (*jobJournal, []record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("jobs: create data dir: %w", err)
 	}
-	j := &journal{path: filepath.Join(dir, journalName)}
-
-	data, err := os.ReadFile(j.path)
+	path := filepath.Join(dir, journalName)
+	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("jobs: read journal: %w", err)
 	}
@@ -117,166 +105,90 @@ func openJournal(dir string) (*journal, []record, error) {
 	if len(data) > 0 && !ok {
 		// Foreign or corrupt header: keep the bytes for inspection, but
 		// never trust them as job state.
-		if err := os.Rename(j.path, j.path+".old"); err != nil && !os.IsNotExist(err) {
+		if err := os.Rename(path, path+".old"); err != nil && !os.IsNotExist(err) {
 			return nil, nil, fmt.Errorf("jobs: move aside bad journal: %w", err)
 		}
 	}
+	f, err := journal.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("jobs: %w", err)
+	}
+	j := &jobJournal{f: f, records: len(recs)}
 	if len(data) == 0 || !ok {
 		if err := j.rewrite(nil); err != nil {
-			return nil, nil, err
+			f.Close()
+			return nil, nil, fmt.Errorf("jobs: %w", err)
 		}
 	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: open journal: %w", err)
-	}
-	j.f = f
-	j.records = len(recs)
 	return j, recs, nil
 }
 
-// parseJournal splits journal bytes into verified records. ok reports
+// parseJournal decodes journal bytes into verified records. ok reports
 // whether the header verified and named a replayable version (current
 // or a compatible predecessor); body lines that fail their checksum or
 // JSON decode are skipped.
 func parseJournal(data []byte) ([]record, bool) {
-	lines := bytes.Split(data, []byte{'\n'})
-	if len(lines) == 0 {
-		return nil, false
-	}
-	payload, ok := verifyLine(lines[0])
-	if !ok {
-		return nil, false
-	}
+	head, body, _ := journal.Parse(data)
 	var h journalHeader
-	if json.Unmarshal(payload, &h) != nil || h.V < journalVersionMin || h.V > journalVersion {
+	if head == nil || json.Unmarshal(head, &h) != nil || h.V < journalVersionMin || h.V > journalVersion {
 		return nil, false
 	}
 	var recs []record
-	for _, line := range lines[1:] {
-		if len(line) == 0 {
-			continue
-		}
-		payload, ok := verifyLine(line)
-		if !ok {
-			continue // torn/corrupt record: skip, keep replaying
-		}
+	for _, payload := range body {
 		var rec record
 		if json.Unmarshal(payload, &rec) != nil {
-			continue
+			continue // corrupt record: skip, keep replaying
 		}
 		recs = append(recs, rec)
 	}
 	return recs, true
 }
 
-// append journals one record: checksummed line, write, fsync. The first
-// failure latches (health turns unhealthy) and is returned to the
-// caller so an acknowledgement is never sent for an undurable
-// transition.
-func (j *journal) append(rec record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if j.f == nil {
-		j.err = fmt.Errorf("jobs: journal closed")
-		return j.err
-	}
-	if err := faultinject.Fire("jobs.journal.append"); err != nil {
-		j.err = fmt.Errorf("jobs: append record: %w", err)
-		return j.err
-	}
-	payload, err := json.Marshal(rec)
+// rewrite atomically replaces the journal with header + recs (fsynced
+// before the rename) and reopens the append handle on the new file.
+func (j *jobJournal) rewrite(recs []record) error {
+	image, err := journal.Image(journalHeader{V: journalVersion}, recs)
 	if err != nil {
-		j.err = fmt.Errorf("jobs: encode record: %w", err)
-		return j.err
+		return j.f.Fail(err)
 	}
-	if _, err := j.f.Write(checksumLine(payload)); err != nil {
-		j.err = fmt.Errorf("jobs: append record: %w", err)
-		return j.err
-	}
-	if err := syncJournal(j.f); err != nil {
-		j.err = fmt.Errorf("jobs: sync journal: %w", err)
-		return j.err
-	}
-	j.records++
-	return nil
-}
-
-// rewrite replaces the journal with header + the given records, fsynced
-// before the atomic rename (the compaction path; nil recs initializes
-// an empty journal). The append handle, if open, is reopened on the new
-// file.
-func (j *journal) rewrite(recs []record) error {
-	var buf bytes.Buffer
-	head, err := json.Marshal(journalHeader{V: journalVersion})
-	if err != nil {
-		return fmt.Errorf("jobs: encode header: %w", err)
-	}
-	buf.Write(checksumLine(head))
-	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("jobs: encode record: %w", err)
-		}
-		buf.Write(checksumLine(payload))
-	}
-	tmp := j.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: write journal: %w", err)
-	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: write journal: %w", err)
-	}
-	if err := syncJournal(tf); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: sync journal: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: close journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: replace journal: %w", err)
-	}
-	if j.f != nil {
-		j.f.Close()
-		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			j.f = nil
-			return fmt.Errorf("jobs: reopen journal: %w", err)
-		}
-		j.f = f
+	if err := j.f.Replace(image); err != nil {
+		return err
 	}
 	j.records = len(recs)
 	return nil
 }
 
-// compact rewrites the journal as one state record per job when the
-// body has outgrown the live set.
-func (j *journal) compact(recs []record) error {
+// append journals one record (checksummed line, write, fsync). The first
+// failure latches (health turns unhealthy) and is returned to the
+// caller so an acknowledgement is never sent for an undurable
+// transition.
+func (j *jobJournal) append(rec record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.rewrite(recs); err != nil {
-		j.err = err
+	if err := j.f.Err(); err != nil {
 		return err
 	}
+	if err := faultinject.Fire("jobs.journal.append"); err != nil {
+		return j.f.Fail(fmt.Errorf("jobs: append record: %w", err))
+	}
+	if err := j.f.Commit(rec); err != nil {
+		return err
+	}
+	j.records++
 	return nil
+}
+
+// compact rewrites the journal as the given records (one state record
+// per job) when the body has outgrown the live set.
+func (j *jobJournal) compact(recs []record) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rewrite(recs)
 }
 
 // needsCompaction reports whether the body record count has outgrown
 // the given live-job count.
-func (j *journal) needsCompaction(liveJobs int) bool {
+func (j *jobJournal) needsCompaction(liveJobs int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	bound := compactFactor * liveJobs
@@ -288,56 +200,16 @@ func (j *journal) needsCompaction(liveJobs int) bool {
 
 // health returns the first persistence failure, or nil while the
 // journal is durable.
-func (j *journal) health() error {
+func (j *jobJournal) health() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.err
+	return j.f.Err()
 }
 
 // close fsyncs and releases the journal file, reporting the first
 // persistence failure encountered over the journal's lifetime.
-func (j *journal) close() error {
+func (j *jobJournal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return j.err
-	}
-	f := j.f
-	j.f = nil
-	if err := syncJournal(f); j.err == nil && err != nil {
-		j.err = fmt.Errorf("jobs: sync journal: %w", err)
-	}
-	if err := f.Close(); j.err == nil && err != nil {
-		j.err = fmt.Errorf("jobs: close journal: %w", err)
-	}
-	return j.err
-}
-
-// checksumLine renders "<fnv64a hex> <payload>\n".
-func checksumLine(payload []byte) []byte {
-	h := fnv.New64a()
-	h.Write(payload)
-	out := make([]byte, 0, len(payload)+18)
-	out = fmt.Appendf(out, "%016x ", h.Sum64())
-	out = append(out, payload...)
-	return append(out, '\n')
-}
-
-// verifyLine splits a journal line into its payload and verifies the
-// checksum prefix.
-func verifyLine(line []byte) ([]byte, bool) {
-	if len(line) < 18 || line[16] != ' ' {
-		return nil, false
-	}
-	var sum uint64
-	if _, err := fmt.Sscanf(string(line[:16]), "%016x", &sum); err != nil {
-		return nil, false
-	}
-	payload := line[17:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != sum {
-		return nil, false
-	}
-	return payload, true
+	return j.f.Close()
 }

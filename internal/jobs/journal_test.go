@@ -1,10 +1,13 @@
 package jobs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -142,5 +145,28 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if recs[0].Job == nil || recs[0].Job.ResultSHA != "abc" {
 		t.Errorf("state snapshot lost fields: %+v", recs[0].Job)
+	}
+}
+
+// TestJournalSyncFailureRefusesSubmit: the job journal commits through
+// journal.Sync, so a failing fsync must refuse the submission (no ack for
+// an undurable transition) and latch the manager unhealthy.
+func TestJournalSyncFailureRefusesSubmit(t *testing.T) {
+	opts := testOpts(t)
+	opts.Workers = -1
+	m := openManager(t, opts)
+	boom := errors.New("injected sync failure")
+	prev := journal.Sync
+	journal.Sync = func(*os.File) error { return boom }
+	defer func() { journal.Sync = prev }()
+
+	if _, err := m.Submit(Request{QASM: testQASM(t)}); !errors.Is(err, boom) {
+		t.Fatalf("submit with failing fsync = %v, want the injected failure", err)
+	}
+	if err := m.Health(); !errors.Is(err, boom) {
+		t.Fatalf("health = %v, want the latched sync failure", err)
+	}
+	if st := m.Stats(); st.QueueDepth != 0 || st.JournalOK {
+		t.Fatalf("refused submission left queue depth %d, journal ok %v", st.QueueDepth, st.JournalOK)
 	}
 }

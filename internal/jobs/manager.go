@@ -150,7 +150,7 @@ type Manager struct {
 	opts  Options
 	clock func() time.Time
 
-	journal *journal
+	journal *jobJournal
 	store   *store
 	q       *queue
 

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 // rewriteJournalHeader rewrites the journal's header line to claim the
@@ -29,7 +31,7 @@ func rewriteJournalHeader(t *testing.T, dir string, version int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := append(checksumLine(head), data[i+1:]...)
+	out := append(journal.Line(head), data[i+1:]...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/pipeline"
 )
 
@@ -70,42 +71,17 @@ func (s *store) load(key string) (*pipeline.SynthesisArtifact, error) {
 	return art, nil
 }
 
-// save writes the artifact under key: tmp file, fsync, atomic rename —
-// a crash mid-save can never leave a torn artifact under a live key.
-// Every save writes its own uniquely named tmp file, so two concurrent
-// misses of one circuit both succeed; the later rename wins with an
-// equally intact artifact.
+// save writes the artifact under key through journal.WriteFile (unique
+// tmp file, fsync, atomic rename) — a crash mid-save can never leave a
+// torn artifact under a live key, and two concurrent misses of one
+// circuit both succeed; the later rename wins with an equally intact
+// artifact.
 func (s *store) save(key string, art *pipeline.SynthesisArtifact) error {
 	if err := faultinject.Fire("jobs.artifact.write"); err != nil {
 		return fmt.Errorf("jobs: write artifact: %w", err)
 	}
-	f, err := os.CreateTemp(s.dir, "art-"+key+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("jobs: write artifact: %w", err)
-	}
-	tmp := f.Name()
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: write artifact: %w", err)
-	}
-	if err := art.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: write artifact: %w", err)
-	}
-	if err := syncJournal(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: sync artifact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: close artifact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobs: replace artifact: %w", err)
+	if err := journal.WriteFile(s.path(key), art.Save); err != nil {
+		return fmt.Errorf("jobs: save artifact: %w", err)
 	}
 	return nil
 }

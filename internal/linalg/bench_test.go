@@ -101,21 +101,6 @@ func BenchmarkApplyRight2Generic(b *testing.B) {
 	}
 }
 
-func BenchmarkSubspaceTrace2Unrolled(b *testing.B) {
-	m, g := benchKernelMatrices(b, 2)
-	for i := 0; i < b.N; i++ {
-		SubspaceTrace2(m, (*[16]complex128)(g), 3, 1)
-	}
-}
-
-func BenchmarkSubspaceTrace2Generic(b *testing.B) {
-	m, g := benchKernelMatrices(b, 2)
-	tab := NewScatterTab([]int{3, 1})
-	for i := 0; i < b.N; i++ {
-		SubspaceTraceTab(m, g, tab)
-	}
-}
-
 func BenchmarkApplyVec2Unrolled(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	state := make([]complex128, 1<<10)
@@ -141,55 +126,11 @@ func BenchmarkApplyVec2Generic(b *testing.B) {
 	}
 }
 
-// Wide-block kernels (k=3/k=4) vs the ScatterTab fallback they replace.
-// The acceptance bar for this layer is 0 allocs/op on the unrolled paths;
-// the Generic pairs still allocate nothing per call but pay the tab's
-// pointer-chasing (and, at the sim call sites they replace, a
-// NewScatterTab allocation per gate application).
-
-func BenchmarkApplyLeft3Unrolled(b *testing.B) {
-	m, g := benchKernelMatrices(b, 3)
-	for i := 0; i < b.N; i++ {
-		ApplyLeft3(m, (*[64]complex128)(g), 3, 1, 0)
-	}
-}
-
-func BenchmarkApplyLeft3Generic(b *testing.B) {
-	m, g := benchKernelMatrices(b, 3)
-	tab := NewScatterTab([]int{3, 1, 0})
-	for i := 0; i < b.N; i++ {
-		ApplyLeftTab(m, g, tab)
-	}
-}
-
-func BenchmarkApplyLeft4Unrolled(b *testing.B) {
-	m, g := benchKernelMatrices(b, 4)
-	for i := 0; i < b.N; i++ {
-		ApplyLeft4(m, (*[256]complex128)(g), 3, 2, 1, 0)
-	}
-}
-
-func BenchmarkApplyLeft4Generic(b *testing.B) {
-	m, g := benchKernelMatrices(b, 4)
-	tab := NewScatterTab([]int{3, 2, 1, 0})
-	for i := 0; i < b.N; i++ {
-		ApplyLeftTab(m, g, tab)
-	}
-}
-
-func BenchmarkApplyRight3Unrolled(b *testing.B) {
-	m, g := benchKernelMatrices(b, 3)
-	for i := 0; i < b.N; i++ {
-		ApplyRight3(m, (*[64]complex128)(g), 3, 1, 0)
-	}
-}
-
-func BenchmarkSubspaceTrace3Unrolled(b *testing.B) {
-	m, g := benchKernelMatrices(b, 3)
-	for i := 0; i < b.N; i++ {
-		SubspaceTrace3(m, (*[64]complex128)(g), 3, 1, 0)
-	}
-}
+// Wide statevector kernels (k=3/k=4) vs the ScatterTab fallback they
+// replace. The acceptance bar for this layer is 0 allocs/op on the
+// unrolled paths; the Generic pair still allocates nothing per call but
+// pays the tab's pointer-chasing (and, at the sim call sites they replace,
+// a NewScatterTab allocation per gate application).
 
 func BenchmarkApplyVec3Unrolled(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))

@@ -1,8 +1,8 @@
 // Specialized gate-application kernels. These are the hot inner loops of
 // synthesis (internal/synth) and simulation (internal/sim): applying a
-// small k-qubit gate to a full matrix (from the left or the right), to a
-// statevector, or tracing it against a matrix, all without expanding the
-// gate to the full 2^n space and without allocating.
+// small k-qubit gate to a full matrix (from the left or the right) or to a
+// statevector, without expanding the gate to the full 2^n space and
+// without allocating.
 //
 // The k=1 (2x2) and k=2 (4x4) cases are fully unrolled; the generic path
 // uses a precomputed ScatterTab so the per-call index math from the naive
@@ -222,69 +222,6 @@ func ApplyRightTab(m *Matrix, g []complex128, t *ScatterTab) {
 			}
 		}
 	}
-}
-
-// SubspaceTrace1 returns Tr(A*G_full) for a 2x2 gate g on qubit q without
-// expanding G to the full space.
-func SubspaceTrace1(a *Matrix, g *[4]complex128, q int) complex128 {
-	bit := 1 << q
-	cols := a.Cols
-	var t complex128
-	for base := 0; base < a.Rows; base++ {
-		if base&bit != 0 {
-			continue
-		}
-		r0, r1 := base, base|bit
-		// Tr(A*G) = sum_{i,j} A[i][j]*G[j][i].
-		t += a.Data[r0*cols+r0]*g[0] + a.Data[r0*cols+r1]*g[2] +
-			a.Data[r1*cols+r0]*g[1] + a.Data[r1*cols+r1]*g[3]
-	}
-	return t
-}
-
-// SubspaceTrace2 returns Tr(A*G_full) for a 4x4 gate g on qubits (qHi, qLo).
-func SubspaceTrace2(a *Matrix, g *[16]complex128, qHi, qLo int) complex128 {
-	hi, lo := 1<<qHi, 1<<qLo
-	mask := hi | lo
-	cols := a.Cols
-	var t complex128
-	for base := 0; base < a.Rows; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		i0, i1, i2, i3 := base, base|lo, base|hi, base|mask
-		for li, ri := range [4]int{i0, i1, i2, i3} {
-			arow := a.Data[ri*cols:]
-			t += arow[i0]*g[li] + arow[i1]*g[4+li] + arow[i2]*g[8+li] + arow[i3]*g[12+li]
-		}
-	}
-	return t
-}
-
-// SubspaceTraceTab is the generic k-qubit form of SubspaceTrace1/2.
-func SubspaceTraceTab(a *Matrix, g []complex128, t *ScatterTab) complex128 {
-	t.acquire()
-	defer t.release()
-	dim := t.Dim
-	var tr complex128
-	for base := 0; base < a.Rows; base++ {
-		if base&t.Mask != 0 {
-			continue
-		}
-		for l := 0; l < dim; l++ {
-			t.idx[l] = base | t.Offs[l]
-		}
-		for li := 0; li < dim; li++ {
-			arow := a.Data[t.idx[li]*a.Cols:]
-			for lj := 0; lj < dim; lj++ {
-				gv := g[lj*dim+li]
-				if gv != 0 {
-					tr += arow[t.idx[lj]] * gv
-				}
-			}
-		}
-	}
-	return tr
 }
 
 // GatherProdBlocks1 computes, for each index group {r0, r0|1<<q} of the

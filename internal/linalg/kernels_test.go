@@ -102,17 +102,6 @@ func TestSpecializedKernelsMatchExpandedProduct(t *testing.T) {
 			if d := MaxAbsDiff(right, Mul(m, full)); d > 1e-9 {
 				t.Errorf("n=%d qubits=%v: ApplyRight diff %g", n, qs, d)
 			}
-
-			var tr complex128
-			if len(qs) == 1 {
-				tr = SubspaceTrace1(m, (*[4]complex128)(g.Data), qs[0])
-			} else {
-				tr = SubspaceTrace2(m, (*[16]complex128)(g.Data), qs[0], qs[1])
-			}
-			want := Mul(m, full).Trace()
-			if d := tr - want; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-				t.Errorf("n=%d qubits=%v: SubspaceTrace = %v, want %v", n, qs, tr, want)
-			}
 		}
 	}
 }
@@ -129,28 +118,21 @@ func TestSpecializedKernelsMatchGenericTab(t *testing.T) {
 
 			specL, genL := m.Copy(), m.Copy()
 			specR, genR := m.Copy(), m.Copy()
-			var specT, genT complex128
 			if len(qs) == 1 {
 				ApplyLeft1(specL, (*[4]complex128)(g.Data), qs[0])
 				ApplyRight1(specR, (*[4]complex128)(g.Data), qs[0])
-				specT = SubspaceTrace1(m, (*[4]complex128)(g.Data), qs[0])
 			} else {
 				ApplyLeft2(specL, (*[16]complex128)(g.Data), qs[0], qs[1])
 				ApplyRight2(specR, (*[16]complex128)(g.Data), qs[0], qs[1])
-				specT = SubspaceTrace2(m, (*[16]complex128)(g.Data), qs[0], qs[1])
 			}
 			ApplyLeftTab(genL, g.Data, tab)
 			ApplyRightTab(genR, g.Data, tab)
-			genT = SubspaceTraceTab(m, g.Data, tab)
 
 			if d := MaxAbsDiff(specL, genL); d > 1e-12 {
 				t.Errorf("n=%d qubits=%v: left spec vs generic diff %g", n, qs, d)
 			}
 			if d := MaxAbsDiff(specR, genR); d > 1e-12 {
 				t.Errorf("n=%d qubits=%v: right spec vs generic diff %g", n, qs, d)
-			}
-			if d := specT - genT; real(d)*real(d)+imag(d)*imag(d) > 1e-24 {
-				t.Errorf("n=%d qubits=%v: trace spec %v vs generic %v", n, qs, specT, genT)
 			}
 		}
 	}
@@ -201,11 +183,8 @@ func TestKernelAllocationFree(t *testing.T) {
 		ApplyRight1(m, (*[4]complex128)(g1.Data), 1)
 		ApplyLeft2(m, (*[16]complex128)(g2.Data), 2, 0)
 		ApplyRight2(m, (*[16]complex128)(g2.Data), 2, 0)
-		SubspaceTrace1(m, (*[4]complex128)(g1.Data), 0)
-		SubspaceTrace2(m, (*[16]complex128)(g2.Data), 2, 1)
 		ApplyLeftTab(m, g2.Data, tab)
 		ApplyRightTab(m, g2.Data, tab)
-		SubspaceTraceTab(m, g2.Data, tab)
 	})
 	if allocs != 0 {
 		t.Errorf("kernels allocate %v times per run, want 0", allocs)

@@ -1,5 +1,5 @@
-// Wide-block kernels: k=3 (8x8) and k=4 (16x16) unrolled variants of the
-// gate-application family in kernels.go, out-of-place Into forms of the
+// Wide-block kernels: k=3 (8x8) and k=4 (16x16) unrolled statevector
+// kernels (internal/sim's ApplyMatrixOp), out-of-place Into forms of the
 // k=1/k=2 left-application kernels, and the 2-qubit gradient gather used
 // by the fused-layer synthesis objective. Same contract as kernels.go:
 // caller-owned scratch, zero heap allocations, and bit-for-bit agreement
@@ -50,190 +50,6 @@ func offs16(qA, qB, qC, qD int) (offs [16]int, mask int) {
 		offs[l] = o
 	}
 	return offs, mask
-}
-
-// ApplyLeft3 computes m <- G_full*m in place for an 8x8 gate g on qubits
-// (qA, qB, qC), qA being the most significant local bit.
-func ApplyLeft3(m *Matrix, g *[64]complex128, qA, qB, qC int) {
-	offs, mask := offs8(qA, qB, qC)
-	cols := m.Cols
-	var rows [8][]complex128
-	var in [8]complex128
-	for base := 0; base < m.Rows; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 8; l++ {
-			r := (base | offs[l]) * cols
-			rows[l] = m.Data[r : r+cols]
-		}
-		for j := 0; j < cols; j++ {
-			for l := 0; l < 8; l++ {
-				in[l] = rows[l][j]
-			}
-			for r := 0; r < 8; r++ {
-				grow := g[r*8 : r*8+8]
-				var s complex128
-				for l, v := range in {
-					if grow[l] != 0 {
-						s += grow[l] * v
-					}
-				}
-				rows[r][j] = s
-			}
-		}
-	}
-}
-
-// ApplyLeft4 computes m <- G_full*m in place for a 16x16 gate g on qubits
-// (qA, qB, qC, qD), qA being the most significant local bit.
-func ApplyLeft4(m *Matrix, g *[256]complex128, qA, qB, qC, qD int) {
-	offs, mask := offs16(qA, qB, qC, qD)
-	cols := m.Cols
-	var rows [16][]complex128
-	var in [16]complex128
-	for base := 0; base < m.Rows; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 16; l++ {
-			r := (base | offs[l]) * cols
-			rows[l] = m.Data[r : r+cols]
-		}
-		for j := 0; j < cols; j++ {
-			for l := 0; l < 16; l++ {
-				in[l] = rows[l][j]
-			}
-			for r := 0; r < 16; r++ {
-				grow := g[r*16 : r*16+16]
-				var s complex128
-				for l, v := range in {
-					if grow[l] != 0 {
-						s += grow[l] * v
-					}
-				}
-				rows[r][j] = s
-			}
-		}
-	}
-}
-
-// ApplyRight3 computes m <- m*G_full in place for an 8x8 gate g on qubits
-// (qA, qB, qC).
-func ApplyRight3(m *Matrix, g *[64]complex128, qA, qB, qC int) {
-	offs, mask := offs8(qA, qB, qC)
-	cols := m.Cols
-	var idx [8]int
-	var in [8]complex128
-	for base := 0; base < cols; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 8; l++ {
-			idx[l] = base | offs[l]
-		}
-		for off := 0; off < len(m.Data); off += cols {
-			for l := 0; l < 8; l++ {
-				in[l] = m.Data[off+idx[l]]
-			}
-			for lj := 0; lj < 8; lj++ {
-				var s complex128
-				for lm := 0; lm < 8; lm++ {
-					gv := g[lm*8+lj]
-					if gv != 0 {
-						s += in[lm] * gv
-					}
-				}
-				m.Data[off+idx[lj]] = s
-			}
-		}
-	}
-}
-
-// ApplyRight4 computes m <- m*G_full in place for a 16x16 gate g on qubits
-// (qA, qB, qC, qD).
-func ApplyRight4(m *Matrix, g *[256]complex128, qA, qB, qC, qD int) {
-	offs, mask := offs16(qA, qB, qC, qD)
-	cols := m.Cols
-	var idx [16]int
-	var in [16]complex128
-	for base := 0; base < cols; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 16; l++ {
-			idx[l] = base | offs[l]
-		}
-		for off := 0; off < len(m.Data); off += cols {
-			for l := 0; l < 16; l++ {
-				in[l] = m.Data[off+idx[l]]
-			}
-			for lj := 0; lj < 16; lj++ {
-				var s complex128
-				for lm := 0; lm < 16; lm++ {
-					gv := g[lm*16+lj]
-					if gv != 0 {
-						s += in[lm] * gv
-					}
-				}
-				m.Data[off+idx[lj]] = s
-			}
-		}
-	}
-}
-
-// SubspaceTrace3 returns Tr(A*G_full) for an 8x8 gate g on qubits
-// (qA, qB, qC) without expanding G to the full space.
-func SubspaceTrace3(a *Matrix, g *[64]complex128, qA, qB, qC int) complex128 {
-	offs, mask := offs8(qA, qB, qC)
-	cols := a.Cols
-	var idx [8]int
-	var tr complex128
-	for base := 0; base < a.Rows; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 8; l++ {
-			idx[l] = base | offs[l]
-		}
-		for li := 0; li < 8; li++ {
-			arow := a.Data[idx[li]*cols:]
-			for lj := 0; lj < 8; lj++ {
-				gv := g[lj*8+li]
-				if gv != 0 {
-					tr += arow[idx[lj]] * gv
-				}
-			}
-		}
-	}
-	return tr
-}
-
-// SubspaceTrace4 returns Tr(A*G_full) for a 16x16 gate g on qubits
-// (qA, qB, qC, qD) without expanding G to the full space.
-func SubspaceTrace4(a *Matrix, g *[256]complex128, qA, qB, qC, qD int) complex128 {
-	offs, mask := offs16(qA, qB, qC, qD)
-	cols := a.Cols
-	var idx [16]int
-	var tr complex128
-	for base := 0; base < a.Rows; base++ {
-		if base&mask != 0 {
-			continue
-		}
-		for l := 0; l < 16; l++ {
-			idx[l] = base | offs[l]
-		}
-		for li := 0; li < 16; li++ {
-			arow := a.Data[idx[li]*cols:]
-			for lj := 0; lj < 16; lj++ {
-				gv := g[lj*16+li]
-				if gv != 0 {
-					tr += arow[idx[lj]] * gv
-				}
-			}
-		}
-	}
-	return tr
 }
 
 // ApplyVec3 applies an 8x8 gate g to qubits (qA, qB, qC) of a statevector

@@ -8,59 +8,9 @@ import (
 )
 
 // The gate-application kernels live in internal/linalg (shared with the
-// simulator). The free functions below dispatch by gate arity: k=1..4 hit
-// the fully unrolled kernels; the generic ScatterTab path remains as the
-// fallback and the correctness oracle for larger gates.
-
-// applyLeft computes m ← G_full · m in place, where g is a small gate
-// matrix on the listed qubits (first listed = most significant local bit).
-func applyLeft(m *linalg.Matrix, g *linalg.Matrix, qubits []int) {
-	switch len(qubits) {
-	case 1:
-		linalg.ApplyLeft1(m, (*[4]complex128)(g.Data), qubits[0])
-	case 2:
-		linalg.ApplyLeft2(m, (*[16]complex128)(g.Data), qubits[0], qubits[1])
-	case 3:
-		linalg.ApplyLeft3(m, (*[64]complex128)(g.Data), qubits[0], qubits[1], qubits[2])
-	case 4:
-		linalg.ApplyLeft4(m, (*[256]complex128)(g.Data), qubits[0], qubits[1], qubits[2], qubits[3])
-	default:
-		linalg.ApplyLeftTab(m, g.Data, linalg.NewScatterTab(qubits))
-	}
-}
-
-// applyRight computes m ← m · G_full in place.
-func applyRight(m *linalg.Matrix, g *linalg.Matrix, qubits []int) {
-	switch len(qubits) {
-	case 1:
-		linalg.ApplyRight1(m, (*[4]complex128)(g.Data), qubits[0])
-	case 2:
-		linalg.ApplyRight2(m, (*[16]complex128)(g.Data), qubits[0], qubits[1])
-	case 3:
-		linalg.ApplyRight3(m, (*[64]complex128)(g.Data), qubits[0], qubits[1], qubits[2])
-	case 4:
-		linalg.ApplyRight4(m, (*[256]complex128)(g.Data), qubits[0], qubits[1], qubits[2], qubits[3])
-	default:
-		linalg.ApplyRightTab(m, g.Data, linalg.NewScatterTab(qubits))
-	}
-}
-
-// subspaceTrace returns Tr(A · G_full) where g is a small matrix on the
-// listed qubits, without expanding G to the full space.
-func subspaceTrace(a *linalg.Matrix, g *linalg.Matrix, qubits []int) complex128 {
-	switch len(qubits) {
-	case 1:
-		return linalg.SubspaceTrace1(a, (*[4]complex128)(g.Data), qubits[0])
-	case 2:
-		return linalg.SubspaceTrace2(a, (*[16]complex128)(g.Data), qubits[0], qubits[1])
-	case 3:
-		return linalg.SubspaceTrace3(a, (*[64]complex128)(g.Data), qubits[0], qubits[1], qubits[2])
-	case 4:
-		return linalg.SubspaceTrace4(a, (*[256]complex128)(g.Data), qubits[0], qubits[1], qubits[2], qubits[3])
-	default:
-		return linalg.SubspaceTraceTab(a, g.Data, linalg.NewScatterTab(qubits))
-	}
-}
+// simulator). Ansatz ops act on one or two qubits, so the objective only
+// calls the unrolled k=1 and k=2 kernels (applyOpLeft/applyOpRight and the
+// fused-layer passes below).
 
 // segment is one fused evaluation unit of the objective. The ansatz emits
 // each LEAP layer as five ops — CX(c,t) then RY,RZ on c then RY,RZ on t —

@@ -16,43 +16,32 @@ import (
 func TestApplyLeftMatchesFullProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
+	g := (*[16]complex128)(linalg.RandomUnitary(4, rng).Data)
+	op := aop{kind: opCX, q1: 2, q2: 0}
 	got := m.Copy()
-	applyLeft(got, g, []int{2, 0})
+	applyOpLeft(got, op, g)
 	// Full G: acts on qubits 2 (MSB of gate) and 0; expand manually via
 	// a 3-qubit circuit application to identity columns.
 	full := linalg.Identity(8)
-	applyLeft(full, g, []int{2, 0})
+	applyOpLeft(full, op, g)
 	want := linalg.Mul(full, m)
 	if !linalg.EqualApprox(got, want, 1e-9) {
-		t.Error("applyLeft != G_full · m")
+		t.Error("applyOpLeft != G_full · m")
 	}
 }
 
 func TestApplyRightMatchesFullProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
+	g := (*[16]complex128)(linalg.RandomUnitary(4, rng).Data)
+	op := aop{kind: opCX, q1: 1, q2: 2}
 	full := linalg.Identity(8)
-	applyLeft(full, g, []int{1, 2})
+	applyOpLeft(full, op, g)
 	want := linalg.Mul(m, full)
 	got := m.Copy()
-	applyRight(got, g, []int{1, 2})
+	applyOpRight(got, op, g)
 	if !linalg.EqualApprox(got, want, 1e-9) {
-		t.Error("applyRight != m · G_full")
-	}
-}
-
-func TestSubspaceTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := linalg.RandomUnitary(8, rng)
-	g := linalg.RandomUnitary(4, rng)
-	full := linalg.Identity(8)
-	applyLeft(full, g, []int{2, 1})
-	want := linalg.Mul(a, full).Trace()
-	got := subspaceTrace(a, g, []int{2, 1})
-	if d := want - got; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-		t.Errorf("subspaceTrace = %v, want %v", got, want)
+		t.Error("applyOpRight != m · G_full")
 	}
 }
 

@@ -1,14 +1,11 @@
 // Disk persistence for the synthesis cache: an append-only, checksummed
 // journal that lets warm hits survive process restarts.
 //
-// Journal format (one record per line, text):
-//
-//	<16 hex digits> <JSON payload>\n
-//
-// The hex prefix is the FNV-1a 64 checksum of the payload bytes. The first
-// line's payload is a header {v, grid, tol, cap} identifying the journal
-// version and the key-derivation parameters; every following line is one
-// cache entry (key, phase-normalized target, full synthesis result).
+// The journal is in the internal/journal format (one checksummed JSON
+// record per line). The first line's payload is a header {v, grid, tol,
+// cap} identifying the journal version and the key-derivation parameters;
+// every following line is one cache entry (key, phase-normalized target,
+// full synthesis result).
 //
 // Invalidation rules:
 //
@@ -30,22 +27,26 @@
 // only tear the final line, which the checksum rejects on the next load.
 // Superseded and evicted records are left in place until the journal holds
 // more than twice the cache capacity, at which point it is compacted: the
-// live entries are rewritten (LRU order, oldest first) to a temporary file
-// that atomically replaces the journal. Reloading therefore reconstructs
-// the same entry set with the same recency order.
+// live entries are rewritten (LRU order, oldest first) as an image that
+// atomically replaces the journal. Reloading therefore reconstructs the
+// same entry set with the same recency order.
+//
+// Appends are NOT synced — an entry is a cache optimization, and losing
+// the tail of a journal to power loss only costs re-synthesis. The
+// compaction image (before its rename) and the journal on Close are
+// synced: both go through journal.Sync.
 package ucache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/circuit"
 	"repro/internal/gate"
+	"repro/internal/journal"
 	"repro/internal/linalg"
 	"repro/internal/synth"
 )
@@ -53,15 +54,6 @@ import (
 // diskVersion identifies the journal layout; bump on any incompatible
 // change to the header or record schema.
 const diskVersion = 1
-
-// syncFile is the fsync seam: the durability points below (journal on
-// Close, compaction image before its rename) go through it so tests can
-// assert the sync calls actually happen. Appends are NOT synced — an
-// entry is a cache optimization, losing the tail of a journal to power
-// loss only costs re-synthesis — but an image we just told the OS to
-// rename over the journal, and a journal we are about to report as
-// cleanly closed, must both be on stable storage first.
-var syncFile = func(f *os.File) error { return f.Sync() }
 
 // journalName is the journal's file name inside the cache directory.
 const journalName = "synth.journal"
@@ -109,10 +101,8 @@ type diskRecord struct {
 
 // diskStore is the journal side of a disk-backed cache.
 type diskStore struct {
-	path    string
-	f       *os.File
-	records int   // journal body records, live + superseded
-	err     error // first append/compact failure; surfaced by Close
+	f       *journal.File // first append/compact failure latches; Close reports it
+	records int           // journal body records, live + superseded
 }
 
 // OpenDisk returns a cache whose entries persist in dir. The directory is
@@ -127,32 +117,24 @@ func OpenDisk(dir string, capacity int, tol float64) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ucache: create cache dir: %w", err)
 	}
-	ds := &diskStore{path: filepath.Join(dir, journalName)}
-
-	data, err := os.ReadFile(ds.path)
-	switch {
-	case err == nil:
-		headerOK := c.loadJournal(data, ds)
-		// Start fresh on a bad/foreign header; rewrite also when the load
-		// left dead weight beyond the compaction bound.
-		if !headerOK || ds.records > 2*c.cap {
-			if err := ds.rewrite(c); err != nil {
-				return nil, err
-			}
-		}
-	case os.IsNotExist(err):
-		if err := ds.rewrite(c); err != nil {
-			return nil, err
-		}
-	default:
+	path := filepath.Join(dir, journalName)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("ucache: read journal: %w", err)
 	}
-
-	f, err := os.OpenFile(ds.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := journal.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("ucache: open journal: %w", err)
+		return nil, fmt.Errorf("ucache: %w", err)
 	}
-	ds.f = f
+	ds := &diskStore{f: f}
+	// Start fresh on a missing, bad or foreign header; rewrite also when
+	// the load left dead weight beyond the compaction bound.
+	if !c.loadJournal(data, ds) || ds.records > 2*c.cap {
+		if err := ds.rewrite(c); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("ucache: %w", err)
+		}
+	}
 	c.stats = Stats{} // loading is not cache activity
 	c.disk = ds
 	return c, nil
@@ -169,15 +151,7 @@ func (c *Cache) Close() error {
 	}
 	ds := c.disk
 	c.disk = nil
-	if ds.f != nil {
-		if err := syncFile(ds.f); ds.err == nil && err != nil {
-			ds.err = fmt.Errorf("ucache: sync journal: %w", err)
-		}
-		if err := ds.f.Close(); ds.err == nil && err != nil {
-			ds.err = fmt.Errorf("ucache: close journal: %w", err)
-		}
-	}
-	return ds.err
+	return ds.f.Close()
 }
 
 // loadJournal parses journal bytes into the (empty) cache. It reports
@@ -185,16 +159,9 @@ func (c *Cache) Close() error {
 // inserted when it did. ds.records counts the body lines seen, including
 // skipped and superseded ones, so the caller can decide to compact.
 func (c *Cache) loadJournal(data []byte, ds *diskStore) bool {
-	lines := bytes.Split(data, []byte{'\n'})
-	if len(lines) == 0 {
-		return false
-	}
-	payload, ok := checkLine(lines[0])
-	if !ok {
-		return false
-	}
+	head, body, lines := journal.Parse(data)
 	var h diskHeader
-	if json.Unmarshal(payload, &h) != nil {
+	if head == nil || json.Unmarshal(head, &h) != nil {
 		return false
 	}
 	if h.V != diskVersion ||
@@ -202,18 +169,11 @@ func (c *Cache) loadJournal(data []byte, ds *diskStore) bool {
 		math.Float64bits(h.Tol) != math.Float64bits(c.tol) {
 		return false
 	}
-	for _, line := range lines[1:] {
-		if len(line) == 0 {
-			continue
-		}
-		ds.records++
-		payload, ok := checkLine(line)
-		if !ok {
-			continue // torn/corrupt record: skip, keep loading
-		}
+	ds.records = lines
+	for _, payload := range body {
 		var rec diskRecord
 		if json.Unmarshal(payload, &rec) != nil {
-			continue
+			continue // corrupt record: skip, keep loading
 		}
 		target, res, ok := rec.decode()
 		if !ok {
@@ -224,136 +184,43 @@ func (c *Cache) loadJournal(data []byte, ds *diskStore) bool {
 	return h.Cap == c.cap
 }
 
-// appendRecord journals one freshly inserted entry. Caller holds c.mu.
-// Failures are remembered and the cache degrades to memory-only behavior.
+// appendRecord journals one freshly inserted entry, unsynced. Caller holds
+// c.mu. Failures latch in the journal file and the cache degrades to
+// memory-only behavior.
 func (ds *diskStore) appendRecord(key uint64, target *linalg.Matrix, res synth.Result) {
-	if ds.f == nil {
-		return
-	}
-	rec := encodeRecord(key, target, res)
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		if ds.err == nil {
-			ds.err = fmt.Errorf("ucache: encode record: %w", err)
-		}
-		return
-	}
-	if _, err := ds.f.Write(formatLine(payload)); err != nil {
-		if ds.err == nil {
-			ds.err = fmt.Errorf("ucache: append record: %w", err)
-		}
-		ds.f.Close()
-		ds.f = nil
-		return
-	}
+	ds.f.Append(encodeRecord(key, target, res))
 	ds.records++
 }
 
 // maybeCompact rewrites the journal once it holds more than twice the
-// cache capacity in records. Caller holds c.mu.
+// cache capacity in records. Caller holds c.mu. A failure latches and is
+// reported by Close.
 func (c *Cache) maybeCompact() {
 	ds := c.disk
-	if ds == nil || ds.f == nil || ds.records <= 2*c.cap {
+	if ds == nil || ds.f.Err() != nil || ds.records <= 2*c.cap {
 		return
 	}
-	if ds.f != nil {
-		ds.f.Close()
-		ds.f = nil
-	}
-	if err := ds.rewrite(c); err != nil {
-		if ds.err == nil {
-			ds.err = err
-		}
-		return
-	}
-	f, err := os.OpenFile(ds.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		if ds.err == nil {
-			ds.err = fmt.Errorf("ucache: reopen journal: %w", err)
-		}
-		return
-	}
-	ds.f = f
+	ds.rewrite(c)
 }
 
 // rewrite replaces the journal with a compact image of the cache: header
 // plus live entries in LRU order (oldest first, so a sequential reload
-// reconstructs the same recency order). The new image lands under a
-// temporary name and atomically renames over the journal.
+// reconstructs the same recency order).
 func (ds *diskStore) rewrite(c *Cache) error {
-	var buf bytes.Buffer
-	head, err := json.Marshal(diskHeader{V: diskVersion, Grid: c.grid, Tol: c.tol, Cap: c.cap})
-	if err != nil {
-		return fmt.Errorf("ucache: encode header: %w", err)
-	}
-	buf.Write(formatLine(head))
-	n := 0
+	recs := make([]diskRecord, 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
-		payload, err := json.Marshal(encodeRecord(e.key, e.target, e.res))
-		if err != nil {
-			return fmt.Errorf("ucache: encode record: %w", err)
-		}
-		buf.Write(formatLine(payload))
-		n++
+		recs = append(recs, encodeRecord(e.key, e.target, e.res))
 	}
-	// The image is synced before the rename: without the fsync the rename
-	// can become durable ahead of the data it points at, and a power loss
-	// would leave a journal of committed entries reading back empty.
-	tmp := ds.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	image, err := journal.Image(diskHeader{V: diskVersion, Grid: c.grid, Tol: c.tol, Cap: c.cap}, recs)
 	if err != nil {
-		return fmt.Errorf("ucache: write journal: %w", err)
+		return ds.f.Fail(err)
 	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ucache: write journal: %w", err)
+	if err := ds.f.Replace(image); err != nil {
+		return err
 	}
-	if err := syncFile(tf); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ucache: sync journal: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ucache: close journal: %w", err)
-	}
-	if err := os.Rename(tmp, ds.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ucache: replace journal: %w", err)
-	}
-	ds.records = n
+	ds.records = len(recs)
 	return nil
-}
-
-// formatLine renders "<fnv64a hex> <payload>\n".
-func formatLine(payload []byte) []byte {
-	h := fnv.New64a()
-	h.Write(payload)
-	out := make([]byte, 0, len(payload)+18)
-	out = fmt.Appendf(out, "%016x ", h.Sum64())
-	out = append(out, payload...)
-	return append(out, '\n')
-}
-
-// checkLine splits a journal line into its payload and verifies the
-// checksum prefix.
-func checkLine(line []byte) ([]byte, bool) {
-	if len(line) < 18 || line[16] != ' ' {
-		return nil, false
-	}
-	var sum uint64
-	if _, err := fmt.Sscanf(string(line[:16]), "%016x", &sum); err != nil {
-		return nil, false
-	}
-	payload := line[17:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != sum {
-		return nil, false
-	}
-	return payload, true
 }
 
 func encodeRecord(key uint64, target *linalg.Matrix, res synth.Result) diskRecord {

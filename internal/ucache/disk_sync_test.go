@@ -4,10 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"strings"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/linalg"
 )
 
@@ -23,8 +24,8 @@ type syncRecorder struct {
 func recordSyncs(t *testing.T) *syncRecorder {
 	t.Helper()
 	rec := &syncRecorder{}
-	prev := syncFile
-	syncFile = func(f *os.File) error {
+	prev := journal.Sync
+	journal.Sync = func(f *os.File) error {
 		rec.mu.Lock()
 		rec.names = append(rec.names, f.Name())
 		err := rec.err
@@ -34,16 +35,18 @@ func recordSyncs(t *testing.T) *syncRecorder {
 		}
 		return prev(f)
 	}
-	t.Cleanup(func() { syncFile = prev })
+	t.Cleanup(func() { journal.Sync = prev })
 	return rec
 }
 
-func (r *syncRecorder) synced(suffix string) int {
+// synced counts the synced files whose base name matches pattern
+// (filepath.Match syntax).
+func (r *syncRecorder) synced(pattern string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, name := range r.names {
-		if strings.HasSuffix(name, suffix) {
+		if ok, _ := filepath.Match(pattern, filepath.Base(name)); ok {
 			n++
 		}
 	}
@@ -85,11 +88,11 @@ func TestCompactionSyncsTmpBeforeRename(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustSynth(t, c, linalg.RandomUnitary(4, rng))
 	}
-	if got := rec.synced(journalName + ".tmp"); got < 1 {
+	if got := rec.synced(journalName + ".*.tmp"); got < 1 {
 		t.Fatalf("compaction tmp file synced %d times, want at least 1", got)
 	}
-	if _, err := os.Stat(journalPath(dir) + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("tmp file left behind after compaction (stat err %v)", err)
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("tmp files left behind after compaction: %v", left)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/linalg"
 	"repro/internal/qasm"
 	"repro/internal/synth"
@@ -180,7 +181,7 @@ func TestDiskVersionMismatchStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfterN(data, []byte{'\n'}, 2)
-	head := formatLine([]byte(`{"v":99,"grid":1e-12,"tol":0,"cap":8}`))
+	head := journal.Line([]byte(`{"v":99,"grid":1e-12,"tol":0,"cap":8}`))
 	if err := os.WriteFile(journalPath(dir), append(head, lines[1]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
