@@ -13,7 +13,12 @@ import (
 // benchCircuit builds a trajectory-heavy workload: a deep random circuit
 // on n qubits, the shape that dominates the noisy figures (Figs. 10-15).
 func benchCircuit(n, ops int) *circuit.Circuit {
-	rng := rand.New(rand.NewSource(7))
+	return benchCircuitSeed(n, ops, 7)
+}
+
+// benchCircuitSeed is benchCircuit drawn from a caller-chosen seed.
+func benchCircuitSeed(n, ops int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
 	c := circuit.New(n)
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(3) {
@@ -46,6 +51,23 @@ func BenchmarkModelRun(b *testing.B) {
 			}
 		})
 	}
+	// The ensemble shape: M = 16 distinct member circuits run on the
+	// Manila model under one seed, as every questd job and compile-cold op
+	// does, so all members draw from the same trajectory streams.
+	members := make([]*circuit.Circuit, 16)
+	for i := range members {
+		members[i] = benchCircuitSeed(5, 60, int64(100+i))
+	}
+	manila := Manila().Model
+	b.Run("ensemble=16", func(b *testing.B) {
+		opts := Options{Seed: 1, Parallelism: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range members {
+				manila.Run(c, opts)
+			}
+		}
+	})
 }
 
 // BenchmarkModelRunWithShots includes readout error and shot sampling, the

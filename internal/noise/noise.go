@@ -62,7 +62,9 @@ var paulis = [3]*linalg.Matrix{gate.PauliX, gate.PauliY, gate.PauliZ}
 // Trajectory runs one Monte-Carlo noise trajectory of the circuit from
 // |0...0> and returns the final statevector.
 func (m Model) Trajectory(c *circuit.Circuit, rng *rand.Rand) linalg.Vector {
-	return m.trajectory(c, opMatrices(c), rng)
+	state := make(linalg.Vector, 1<<c.NumQubits)
+	m.trajectory(c, opMatrices(c), state, rng)
+	return state
 }
 
 // opMatrices builds the gate matrix of every op of c, in op order. A run
@@ -75,9 +77,12 @@ func opMatrices(c *circuit.Circuit) []*linalg.Matrix {
 	return mats
 }
 
-// trajectory is Trajectory with the op matrices prebuilt by opMatrices.
-func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, rng *rand.Rand) linalg.Vector {
-	state := sim.ZeroState(c.NumQubits)
+// trajectory is Trajectory with the op matrices prebuilt by opMatrices,
+// run in the caller's state buffer: state is reset to |0...0> first, so
+// one buffer serves many trajectories.
+func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, state linalg.Vector, rng *rand.Rand) {
+	clear(state)
+	state[0] = 1
 	for i, op := range c.Ops {
 		sim.ApplyMatrixOp(state, c.NumQubits, mats[i], op.Qubits)
 		p := m.OneQubitError
@@ -93,7 +98,6 @@ func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, rng *rand.R
 			}
 		}
 	}
-	return state
 }
 
 // amplitudeDampingJump applies one quantum-jump step of the amplitude
@@ -244,7 +248,8 @@ func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]
 // bounded worker pool; each chunk owns a private partial sum and the
 // partials are reduced in chunk order, so the floating-point summation
 // order (and hence the result, bit for bit) is independent of the worker
-// count.
+// count. Each chunk also owns one statevector and one rand.Rand over a
+// replaySource, which it points at trajectory t's stream tape.
 func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, opts Options, probs []float64) error {
 	dim := len(probs)
 	mats := opMatrices(c)
@@ -252,6 +257,8 @@ func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, o
 	partials := make([][]float64, chunks)
 	err := par.ForEachErr(ctx, opts.Parallelism, chunks, func(cctx context.Context, ci int) error {
 		partial := make([]float64, dim)
+		state := make(linalg.Vector, dim)
+		rng := rand.New(new(replaySource))
 		lo := ci * trajectoryChunk
 		hi := lo + trajectoryChunk
 		if hi > opts.Trajectories {
@@ -261,8 +268,8 @@ func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, o
 			if err := budget.Check(cctx); err != nil {
 				return err
 			}
-			rng := rand.New(rand.NewSource(streamSeed(opts.Seed, int64(t))))
-			state := m.trajectory(c, mats, rng)
+			rng.Seed(streamSeed(opts.Seed, int64(t)))
+			m.trajectory(c, mats, state, rng)
 			for k, amp := range state {
 				partial[k] += real(amp)*real(amp) + imag(amp)*imag(amp)
 			}

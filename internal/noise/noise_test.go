@@ -344,10 +344,14 @@ func TestHoistedTrajectoryMatchesPerOpBuild(t *testing.T) {
 		// One matrix set shared by many trajectories, as a run shares it:
 		// it must not be mutated by any of them.
 		mats := opMatrices(c)
+		state := make([]complex128, 1<<c.NumQubits)
 		for seed := int64(1); seed <= 25; seed++ {
 			want := referenceTrajectory(m, c, rand.New(rand.NewSource(seed)))
+			// The buffer still holds the previous seed's final state:
+			// trajectory must reset it before evolving.
+			m.trajectory(c, mats, state, rand.New(rand.NewSource(seed)))
 			for name, got := range map[string][]complex128{
-				"trajectory": m.trajectory(c, mats, rand.New(rand.NewSource(seed))),
+				"trajectory": state,
 				"Trajectory": m.Trajectory(c, rand.New(rand.NewSource(seed))),
 			} {
 				for k := range want {
