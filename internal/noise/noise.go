@@ -83,12 +83,16 @@ func opMatrices(c *circuit.Circuit) []*linalg.Matrix {
 func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, state linalg.Vector, rng *rand.Rand) {
 	clear(state)
 	state[0] = 1
-	for i, op := range c.Ops {
+	m.trajectoryFrom(c, mats, state, 0, rng)
+}
+
+// trajectoryFrom runs ops from, from+1, ... of one trajectory on state,
+// which must hold the trajectory's state before op from.
+func (m Model) trajectoryFrom(c *circuit.Circuit, mats []*linalg.Matrix, state linalg.Vector, from int, rng *rand.Rand) {
+	for i := from; i < len(c.Ops); i++ {
+		op := c.Ops[i]
 		sim.ApplyMatrixOp(state, c.NumQubits, mats[i], op.Qubits)
-		p := m.OneQubitError
-		if len(op.Qubits) >= 2 {
-			p = m.TwoQubitError
-		}
+		p := m.errorRate(op)
 		for j, q := range op.Qubits {
 			if p > 0 && rng.Float64() < p {
 				sim.ApplyMatrixOp(state, c.NumQubits, paulis[rng.Intn(3)], op.Qubits[j:j+1])
@@ -100,6 +104,14 @@ func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, state linal
 	}
 }
 
+// errorRate is the Pauli error probability of each qubit op touches.
+func (m Model) errorRate(op circuit.Op) float64 {
+	if len(op.Qubits) >= 2 {
+		return m.TwoQubitError
+	}
+	return m.OneQubitError
+}
+
 // amplitudeDampingJump applies one quantum-jump step of the amplitude
 // damping channel with decay probability gamma to qubit q: with
 // probability gamma·P(q=1) the qubit decays to |0> (jump), otherwise the
@@ -107,13 +119,7 @@ func (m Model) trajectory(c *circuit.Circuit, mats []*linalg.Matrix, state linal
 // are renormalized. Averaged over trajectories this reproduces the exact
 // channel (validated against package density in the tests).
 func amplitudeDampingJump(state linalg.Vector, n, q int, gamma float64, rng *rand.Rand) {
-	bit := 1 << q
-	var p1 float64
-	for i, amp := range state {
-		if i&bit != 0 {
-			p1 += real(amp)*real(amp) + imag(amp)*imag(amp)
-		}
-	}
+	p1 := excitedPopulation(state, q)
 	if p1 == 0 {
 		return
 	}
@@ -121,6 +127,7 @@ func amplitudeDampingJump(state linalg.Vector, n, q int, gamma float64, rng *ran
 	if rng.Float64() < pJump {
 		// Jump: K1 = sqrt(γ)|0><1| moves every q=1 amplitude onto its
 		// q=0 partner and annihilates the rest; renormalize by sqrt(p1).
+		bit := 1 << q
 		inv := complex(1/math.Sqrt(p1), 0)
 		for i := range state {
 			if i&bit == 0 {
@@ -134,7 +141,26 @@ func amplitudeDampingJump(state linalg.Vector, n, q int, gamma float64, rng *ran
 		}
 		return
 	}
-	// No jump: apply K0 = diag(1, sqrt(1-gamma)) and renormalize.
+	dampNoJump(state, q, gamma, pJump)
+}
+
+// excitedPopulation is P(q=1) in state.
+func excitedPopulation(state linalg.Vector, q int) float64 {
+	bit := 1 << q
+	var p1 float64
+	for i, amp := range state {
+		if i&bit != 0 {
+			p1 += real(amp)*real(amp) + imag(amp)*imag(amp)
+		}
+	}
+	return p1
+}
+
+// dampNoJump applies the no-jump branch of a damping step whose jump
+// probability was pJump: K0 = diag(1, sqrt(1-gamma)) on qubit q, then
+// renormalization.
+func dampNoJump(state linalg.Vector, q int, gamma, pJump float64) {
+	bit := 1 << q
 	scale := complex(math.Sqrt(1-gamma), 0)
 	for i := range state {
 		if i&bit != 0 {
@@ -145,6 +171,100 @@ func amplitudeDampingJump(state linalg.Vector, n, q int, gamma float64, rng *ran
 	for i := range state {
 		state[i] *= norm
 	}
+}
+
+// addProbabilities adds the basis-state probabilities of state into acc.
+func addProbabilities(acc []float64, state linalg.Vector) {
+	for k, amp := range state {
+		acc[k] += real(amp)*real(amp) + imag(amp)*imag(amp)
+	}
+}
+
+// checkpointBytes bounds the memory one run spends on error-free-path
+// checkpoints (the checkpoint at op 0 is kept even when one state alone
+// exceeds it). It is a variable only so tests can shrink it.
+var checkpointBytes = 256 << 10
+
+// freePath is a circuit's error-free path under a model: the trajectory
+// in which no Pauli error and no damping jump fires. Every trajectory
+// follows it until its first firing draw, so a run computes it once and
+// each trajectory starts from what it already knows.
+type freePath struct {
+	// stride is the op distance between checkpoints; checkpoints[k] is
+	// the path's state before op k·stride, and draws[k] is how many
+	// Float64 calls a trajectory has made by then.
+	stride      int
+	checkpoints []linalg.Vector
+	draws       []int
+	// p1 holds, in trajectory order (op by op, qubit by qubit), the
+	// excited population each damping step reads; nil without damping.
+	p1 []float64
+	// probs are the path's output probabilities.
+	probs []float64
+}
+
+// errorFreePath runs c's error-free path once, with the same gate and
+// damping arithmetic as trajectoryFrom, and keeps checkpoints within
+// checkpointBytes.
+func (m Model) errorFreePath(c *circuit.Circuit, mats []*linalg.Matrix) *freePath {
+	dim := 1 << c.NumQubits
+	perBudget := max(1, checkpointBytes/(16*dim))
+	stride := max(1, (len(c.Ops)+perBudget-1)/perBudget)
+	n := (len(c.Ops) + stride - 1) / stride
+	fp := &freePath{stride: stride, checkpoints: make([]linalg.Vector, 0, n), draws: make([]int, 0, n)}
+	store := make(linalg.Vector, n*dim)
+	state := make(linalg.Vector, dim)
+	state[0] = 1
+	draws := 0
+	for i, op := range c.Ops {
+		if i%stride == 0 {
+			k := i / stride
+			fp.checkpoints = append(fp.checkpoints, store[k*dim:(k+1)*dim:(k+1)*dim])
+			copy(fp.checkpoints[k], state)
+			fp.draws = append(fp.draws, draws)
+		}
+		sim.ApplyMatrixOp(state, c.NumQubits, mats[i], op.Qubits)
+		p := m.errorRate(op)
+		for _, q := range op.Qubits {
+			if p > 0 {
+				draws++
+			}
+			if m.DampingError > 0 {
+				p1 := excitedPopulation(state, q)
+				fp.p1 = append(fp.p1, p1)
+				if p1 != 0 {
+					draws++
+					dampNoJump(state, q, m.DampingError, m.DampingError*p1)
+				}
+			}
+		}
+	}
+	fp.probs = make([]float64, dim)
+	addProbabilities(fp.probs, state)
+	return fp
+}
+
+// firstError makes a trajectory's draws along the error-free path, in
+// trajectoryFrom's order, and returns the op whose draw first fires (a
+// Pauli error or a damping jump), or len(c.Ops) when none does.
+func (m Model) firstError(c *circuit.Circuit, fp *freePath, rng *rand.Rand) int {
+	k := 0
+	for i, op := range c.Ops {
+		p := m.errorRate(op)
+		for range op.Qubits {
+			if p > 0 && rng.Float64() < p {
+				return i
+			}
+			if m.DampingError > 0 {
+				p1 := fp.p1[k]
+				k++
+				if p1 != 0 && rng.Float64() < m.DampingError*p1 {
+					return i
+				}
+			}
+		}
+	}
+	return len(c.Ops)
 }
 
 // Options configures a noisy run.
@@ -250,9 +370,18 @@ func (m Model) RunCtx(ctx context.Context, c *circuit.Circuit, opts Options) ([]
 // order (and hence the result, bit for bit) is independent of the worker
 // count. Each chunk also owns one statevector and one rand.Rand over a
 // replaySource, which it points at trajectory t's stream tape.
+//
+// The run computes the error-free path once. Trajectory t first replays
+// its draws along that path (firstError): if none fires, its final state
+// is the path's, and it adds the path's probabilities. Otherwise it
+// re-seeds, makes the same number of Float64 calls the path makes before
+// the nearest checkpoint at or before its firing op, and runs
+// trajectoryFrom from that checkpoint's state. Every state, draw and sum
+// is therefore the one a full trajectory from |0...0> computes.
 func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, opts Options, probs []float64) error {
 	dim := len(probs)
 	mats := opMatrices(c)
+	fp := m.errorFreePath(c, mats)
 	chunks := (opts.Trajectories + trajectoryChunk - 1) / trajectoryChunk
 	partials := make([][]float64, chunks)
 	err := par.ForEachErr(ctx, opts.Parallelism, chunks, func(cctx context.Context, ci int) error {
@@ -268,11 +397,23 @@ func (m Model) accumulateTrajectories(ctx context.Context, c *circuit.Circuit, o
 			if err := budget.Check(cctx); err != nil {
 				return err
 			}
-			rng.Seed(streamSeed(opts.Seed, int64(t)))
-			m.trajectory(c, mats, state, rng)
-			for k, amp := range state {
-				partial[k] += real(amp)*real(amp) + imag(amp)*imag(amp)
+			seed := streamSeed(opts.Seed, int64(t))
+			rng.Seed(seed)
+			f := m.firstError(c, fp, rng)
+			if f == len(c.Ops) {
+				for k, v := range fp.probs {
+					partial[k] += v
+				}
+				continue
 			}
+			ck := f / fp.stride
+			rng.Seed(seed)
+			for n := fp.draws[ck]; n > 0; n-- {
+				rng.Float64()
+			}
+			copy(state, fp.checkpoints[ck])
+			m.trajectoryFrom(c, mats, state, ck*fp.stride, rng)
+			addProbabilities(partial, state)
 		}
 		partials[ci] = partial
 		return nil

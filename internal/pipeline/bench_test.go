@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -106,6 +107,33 @@ func BenchmarkEpsilonSweepReselect(b *testing.B) {
 			if _, err := Reselect(ctx, art, cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkLoadSynthesis measures the artifact-store half of a questd
+// artifact hit: decoding a saved 5-qubit artifact synthesized at questd's
+// defaults (block size 3, ε = 0.05), as every serve job's circuit is.
+func BenchmarkLoadSynthesis(b *testing.B) {
+	c, err := algos.Generate("tfim", 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := Synthesize(context.Background(), c, Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := art.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	saved := buf.Bytes()
+	b.SetBytes(int64(len(saved)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadSynthesis(bytes.NewReader(saved)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -174,9 +174,6 @@ type BlockApproximations struct {
 	// is what Reselect re-filters under a different threshold; nil for
 	// degraded blocks (their only candidate is the exact circuit).
 	all []synth.Candidate
-	// pairDist[i][j] is the HS distance between candidates i and j,
-	// used by the Algorithm-1 similarity rule.
-	pairDist [][]float64
 }
 
 // Approximation is one selected full-circuit approximation.

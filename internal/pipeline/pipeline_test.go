@@ -220,11 +220,12 @@ func TestSimilarityBounds(t *testing.T) {
 		t.Skip("need at least two samples")
 	}
 	a, b := res.Selected[0].Choice, res.Selected[1].Choice
-	s := similarity(res.Blocks, a, b)
+	pairs := pairTables(res.Blocks, 1)
+	s := similarity(res.Blocks, pairs, a, b)
 	if s < 0 || s > 1 {
 		t.Errorf("similarity out of range: %g", s)
 	}
-	if got := similarity(res.Blocks, a, a); got != 1 {
+	if got := similarity(res.Blocks, pairs, a, a); got != 1 {
 		t.Errorf("self-similarity = %g, want 1", got)
 	}
 }

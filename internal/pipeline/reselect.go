@@ -128,7 +128,7 @@ func (art *SynthesisArtifact) refilter(cfg Config) (*SynthesisArtifact, error) {
 			})
 			continue
 		}
-		nb := finishBlock(ba.Block, ba.Unitary, kept, cfg.Parallelism)
+		nb := finishBlock(ba.Block, ba.Unitary, kept)
 		nb.all = ba.all
 		view.Blocks[i] = nb
 	}

@@ -8,34 +8,73 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/budget"
 	"repro/internal/circuit"
+	"repro/internal/linalg"
+	"repro/internal/par"
+	"repro/internal/sim"
+	"repro/internal/synth"
 )
 
 // blockSimilar implements the paper's similarity criterion for one block:
-// two candidates are similar when their mutual distance does not exceed
-// the larger of their distances to the original.
-func (ba *BlockApproximations) blockSimilar(i, j int) bool {
+// two candidates are similar when their mutual distance (pd, the block's
+// pair table) does not exceed the larger of their distances to the
+// original.
+func blockSimilar(cands []synth.Candidate, pd [][]float64, i, j int) bool {
 	if i == j {
 		return true
 	}
-	di := ba.Candidates[i].Distance
-	dj := ba.Candidates[j].Distance
-	return ba.pairDist[i][j] <= math.Max(di, dj)
+	return pd[i][j] <= math.Max(cands[i].Distance, cands[j].Distance)
 }
 
 // similarity returns the fraction of blocks on which the two choice
 // vectors pick similar candidates (the scalable full-circuit similarity
-// of Sec. 3.6).
-func similarity(blocks []BlockApproximations, a, b []int) float64 {
+// of Sec. 3.6); pairs[k] is block k's pair table.
+func similarity(blocks []BlockApproximations, pairs [][][]float64, a, b []int) float64 {
 	if len(blocks) == 0 {
 		return 1
 	}
 	m := 0
 	for k := range blocks {
-		if blocks[k].blockSimilar(a[k], b[k]) {
+		if blockSimilar(blocks[k].Candidates, pairs[k], a[k], b[k]) {
 			m++
 		}
 	}
 	return float64(m) / float64(len(blocks))
+}
+
+// pairTables builds every block's pair table, the pairwise candidate
+// distances the similarity rule reads, one block at a time.
+func pairTables(blocks []BlockApproximations, parallelism int) [][][]float64 {
+	pairs := make([][][]float64, len(blocks))
+	for k, ba := range blocks {
+		pairs[k] = pairDistances(ba.Candidates, parallelism)
+	}
+	return pairs
+}
+
+// pairDistances computes one block's pair table. Candidate unitaries and
+// the upper triangle fan out across workers (each (i, j>i) cell is
+// written exactly once); the mirror pass runs after the barrier so it
+// only reads completed cells.
+func pairDistances(cands []synth.Candidate, parallelism int) [][]float64 {
+	us := make([]*linalg.Matrix, len(cands))
+	par.ForEach(parallelism, len(us), func(i int) {
+		us[i] = sim.Unitary(cands[i].Circuit)
+	})
+	pd := make([][]float64, len(us))
+	for i := range us {
+		pd[i] = make([]float64, len(us))
+	}
+	par.ForEach(parallelism, len(us), func(i int) {
+		for j := i + 1; j < len(us); j++ {
+			pd[i][j] = linalg.HSDistance(us[i], us[j])
+		}
+	})
+	for i := range us {
+		for j := 0; j < i; j++ {
+			pd[i][j] = pd[j][i]
+		}
+	}
+	return pd
 }
 
 // choiceStats returns the CNOT count and Σε of a choice vector.
@@ -104,6 +143,15 @@ func selectApproximations(ctx context.Context, sa *SynthesisArtifact, cfg Config
 
 	var out []Approximation
 	var selected [][]int
+	// Only the similarity to an already selected sample reads the pair
+	// tables, so they are built once the first sample is in, and a run
+	// that selects at most one builds none.
+	var pairs [][][]float64
+	needPairs := func() {
+		if pairs == nil {
+			pairs = pairTables(blocks, cfg.Parallelism)
+		}
+	}
 	// Algorithm 1: the energy for the next sample given the selected set,
 	// with the cost term delegated to the pluggable objective. One
 	// annealer-friendly refinement over the paper's pseudocode: an
@@ -123,7 +171,7 @@ func selectApproximations(ctx context.Context, sa *SynthesisArtifact, cfg Config
 		}
 		m := 0.0
 		for _, s := range selected {
-			m += similarity(blocks, choice, s)
+			m += similarity(blocks, pairs, choice, s)
 		}
 		m /= float64(len(selected))
 		return (1-cfg.CXWeight)*m + cfg.CXWeight*cost
@@ -142,6 +190,9 @@ func selectApproximations(ctx context.Context, sa *SynthesisArtifact, cfg Config
 	var stopErr error
 samples:
 	for s := 0; s < cfg.MaxSamples; s++ {
+		if len(selected) > 0 {
+			needPairs()
+		}
 		var choice []int
 		ok := false
 		for attempt := 0; attempt <= dupRetries; attempt++ {
@@ -191,6 +242,7 @@ samples:
 		if stopErr = budget.Check(ctx); stopErr != nil {
 			break
 		}
+		needPairs()
 		bestScore := math.Inf(1)
 		var best []int
 		for _, base := range selected {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/partition"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -16,12 +17,23 @@ import (
 // 2.0 (the writer prints parameters with %.17g, so float64 round-trips
 // bit-exactly) and distances as plain JSON numbers (encoding/json emits
 // the shortest representation that round-trips a float64 exactly).
-// Unitaries and pairwise candidate distances are NOT stored: both are
-// deterministic functions of the circuits and are recomputed on load, so
-// a loaded artifact Reselects bit-identically to the artifact it was
-// saved from.
+// Version 2 stores each block's circuit and its raw synthesis harvest
+// only. Everything else is a deterministic function of those and is
+// rebuilt, never stored: the block unitaries and the pruned candidate
+// lists on load (finishBlock over the harvest filtered at the artifact's
+// threshold, or the exact-only set for a block with no harvest), and the
+// pair tables in each selection. A loaded artifact therefore Reselects
+// bit-identically to the artifact it was saved from. Version 1 files also
+// stored the pruned lists under "candidates"; they still load, and that
+// field is ignored.
 
-const synthArtifactVersion = 1
+const synthArtifactVersion = 2
+
+// maxBlockWidth is the widest block a loaded artifact may hold. Loading
+// builds a 2ⁿ×2ⁿ unitary per block, so without a bound a few corrupted
+// bytes could ask for gigabytes; no configuration synthesizes blocks
+// anywhere near this wide.
+const maxBlockWidth = 8
 
 type candJSON struct {
 	QASM     string  `json:"qasm"`
@@ -30,11 +42,9 @@ type candJSON struct {
 }
 
 type blockJSON struct {
-	Qubits     []int      `json:"qubits"`
-	QASM       string     `json:"qasm"`
-	Candidates []candJSON `json:"candidates"`
-	// Raw is the unpruned harvest Reselect re-filters; empty for
-	// degraded blocks.
+	Qubits []int  `json:"qubits"`
+	QASM   string `json:"qasm"`
+	// Raw is the unpruned harvest; empty for degraded blocks.
 	Raw []candJSON `json:"raw,omitempty"`
 }
 
@@ -62,7 +72,9 @@ func encodeCands(cands []synth.Candidate) []candJSON {
 	return out
 }
 
-func decodeCands(cands []candJSON) ([]synth.Candidate, error) {
+// decodeCands parses a block's raw harvest, rejecting any candidate whose
+// width is not the block's.
+func decodeCands(cands []candJSON, width int) ([]synth.Candidate, error) {
 	if len(cands) == 0 {
 		return nil, nil
 	}
@@ -72,9 +84,32 @@ func decodeCands(cands []candJSON) ([]synth.Candidate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("candidate %d: %w", i, err)
 		}
+		if circ.NumQubits != width {
+			return nil, fmt.Errorf("candidate %d: %d qubits, block has %d", i, circ.NumQubits, width)
+		}
 		out[i] = synth.Candidate{Circuit: circ, Distance: c.Distance, CNOTs: c.CNOTs}
 	}
 	return out, nil
+}
+
+// checkBlock rejects a block that no Save could have written: one whose
+// qubit list does not match its circuit's width, is not a set of distinct
+// qubits of the original, or is wider than the artifact's BlockSize.
+func checkBlock(qubits []int, bc, orig *circuit.Circuit, blockSize int) error {
+	if len(qubits) != bc.NumQubits {
+		return fmt.Errorf("%d qubits listed for a %d-qubit circuit", len(qubits), bc.NumQubits)
+	}
+	if bc.NumQubits > blockSize {
+		return fmt.Errorf("%d qubits exceed block size %d", bc.NumQubits, blockSize)
+	}
+	seen := make(map[int]bool, len(qubits))
+	for _, q := range qubits {
+		if q < 0 || q >= orig.NumQubits || seen[q] {
+			return fmt.Errorf("qubit %d is not a distinct qubit of the %d-qubit original", q, orig.NumQubits)
+		}
+		seen[q] = true
+	}
+	return nil
 }
 
 // Save writes the artifact in its portable JSON encoding, so an expensive
@@ -97,25 +132,25 @@ func (art *SynthesisArtifact) Save(w io.Writer) error {
 	}
 	for _, ba := range art.Blocks {
 		doc.Blocks = append(doc.Blocks, blockJSON{
-			Qubits:     ba.Block.Qubits,
-			QASM:       qasm.Write(ba.Block.Circuit),
-			Candidates: encodeCands(ba.Candidates),
-			Raw:        encodeCands(ba.all),
+			Qubits: ba.Block.Qubits,
+			QASM:   qasm.Write(ba.Block.Circuit),
+			Raw:    encodeCands(ba.all),
 		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)
 }
 
-// LoadSynthesis reads an artifact saved with Save. Circuits, unitaries
-// and pairwise candidate distances are reconstructed deterministically;
-// the result Reselects bit-identically to the saved artifact.
+// LoadSynthesis reads an artifact saved with Save (version 1 or 2). The
+// blocks are checked before anything is built from them; the unitaries
+// and pruned candidate lists are then rebuilt deterministically, so the
+// result Reselects bit-identically to the saved artifact.
 func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 	var doc synthArtifactJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("pipeline: load artifact: %w", err)
 	}
-	if doc.Version != synthArtifactVersion {
+	if doc.Version != 1 && doc.Version != synthArtifactVersion {
 		return nil, fmt.Errorf("pipeline: load artifact: unsupported version %d", doc.Version)
 	}
 	orig, err := qasm.Parse(doc.Original)
@@ -129,6 +164,12 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 		Seed:         doc.Seed,
 	}
 	cfg.defaults()
+	if cfg.BlockSize < 1 || cfg.BlockSize > maxBlockWidth {
+		return nil, fmt.Errorf("pipeline: load artifact: block size %d outside [1, %d]", cfg.BlockSize, maxBlockWidth)
+	}
+	if len(doc.Blocks) == 0 {
+		return nil, fmt.Errorf("pipeline: load artifact: no blocks")
+	}
 	art := &SynthesisArtifact{
 		Partition: &PartitionArtifact{
 			Original:  orig,
@@ -141,29 +182,30 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 		Key:          doc.Key,
 		Elapsed:      time.Duration(doc.ElapsedNS),
 	}
+	blocks := make([]partition.Block, len(doc.Blocks))
+	raws := make([][]synth.Candidate, len(doc.Blocks))
 	for i, bj := range doc.Blocks {
 		bc, err := qasm.Parse(bj.QASM)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
 		}
-		cands, err := decodeCands(bj.Candidates)
-		if err != nil {
+		if err := checkBlock(bj.Qubits, bc, orig, cfg.BlockSize); err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
 		}
-		raw, err := decodeCands(bj.Raw)
-		if err != nil {
+		if raws[i], err = decodeCands(bj.Raw, bc.NumQubits); err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d raw: %w", i, err)
 		}
-		blk := partition.Block{Qubits: bj.Qubits, Circuit: bc}
-		ba := BlockApproximations{
-			Block:      blk,
-			Unitary:    sim.Unitary(bc),
-			Candidates: cands,
-			all:        raw,
-		}
-		ba.pairDist = pairDistances(cands, cfg.Parallelism)
-		art.Blocks = append(art.Blocks, ba)
-		art.Partition.Blocks = append(art.Partition.Blocks, blk)
+		blocks[i] = partition.Block{Qubits: bj.Qubits, Circuit: bc}
 	}
+	for i, blk := range blocks {
+		if raws[i] == nil {
+			art.Blocks = append(art.Blocks, exactOnlyBlock(blk))
+			continue
+		}
+		ba := finishBlock(blk, sim.Unitary(blk.Circuit), filterByThreshold(raws[i], doc.Threshold))
+		ba.all = raws[i]
+		art.Blocks = append(art.Blocks, ba)
+	}
+	art.Partition.Blocks = blocks
 	return art, nil
 }

@@ -148,7 +148,6 @@ func exactOnlyBlock(b partition.Block) BlockApproximations {
 			Distance: 0,
 			CNOTs:    b.Circuit.CNOTCount(),
 		}},
-		pairDist: [][]float64{{0}},
 	}
 }
 
@@ -249,7 +248,7 @@ func synthesizeBlock(ctx context.Context, idx int, b partition.Block, cfg Config
 		return exactOnlyBlock(b), deg, nil
 	}
 
-	ba := finishBlock(b, u, kept, cfg.Parallelism)
+	ba := finishBlock(b, u, kept)
 	ba.all = raw
 	return ba, nil, nil
 }
@@ -268,12 +267,11 @@ func filterByThreshold(cands []synth.Candidate, threshold float64) []synth.Candi
 }
 
 // finishBlock turns a pruned candidate list into a selection-ready
-// BlockApproximations: it anchors the exact circuit and precomputes the
-// pairwise candidate distances the similarity rule reads. Both the
-// primary synthesis path and Reselect's re-filtering path go through this
-// one function, which is what makes a Reselect under an unchanged
-// threshold bit-identical to the full run.
-func finishBlock(b partition.Block, u *linalg.Matrix, kept []synth.Candidate, parallelism int) BlockApproximations {
+// BlockApproximations by anchoring the exact circuit. The primary
+// synthesis path, Reselect's re-filtering path and LoadSynthesis all go
+// through this one function, which is what makes a Reselect under an
+// unchanged threshold bit-identical to the full run.
+func finishBlock(b partition.Block, u *linalg.Matrix, kept []synth.Candidate) BlockApproximations {
 	// The block's own circuit is always an exact candidate: it anchors
 	// the selection space (QUEST can never do worse than the Baseline)
 	// and guarantees an exact option when the synthesis search missed
@@ -292,33 +290,5 @@ func finishBlock(b partition.Block, u *linalg.Matrix, kept []synth.Candidate, pa
 			CNOTs:    b.Circuit.CNOTCount(),
 		})
 	}
-	ba := BlockApproximations{Block: b, Unitary: u, Candidates: kept}
-	ba.pairDist = pairDistances(kept, parallelism)
-	return ba
-}
-
-// pairDistances precomputes pairwise candidate distances for the
-// similarity rule. Candidate unitaries and the upper triangle fan out
-// across workers (each (i, j>i) cell is written exactly once); the mirror
-// pass runs after the barrier so it only reads completed cells.
-func pairDistances(cands []synth.Candidate, parallelism int) [][]float64 {
-	us := make([]*linalg.Matrix, len(cands))
-	par.ForEach(parallelism, len(us), func(i int) {
-		us[i] = sim.Unitary(cands[i].Circuit)
-	})
-	pd := make([][]float64, len(us))
-	for i := range us {
-		pd[i] = make([]float64, len(us))
-	}
-	par.ForEach(parallelism, len(us), func(i int) {
-		for j := i + 1; j < len(us); j++ {
-			pd[i][j] = linalg.HSDistance(us[i], us[j])
-		}
-	})
-	for i := range us {
-		for j := 0; j < i; j++ {
-			pd[i][j] = pd[j][i]
-		}
-	}
-	return pd
+	return BlockApproximations{Block: b, Unitary: u, Candidates: kept}
 }

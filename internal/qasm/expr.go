@@ -3,6 +3,7 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // expr is a parameter expression AST node. Top-level gate applications
@@ -162,8 +163,8 @@ func (p *parser) parsePrimary(params map[string]bool) (expr, error) {
 	t := p.advance()
 	switch {
 	case t.kind == tokNumber:
-		var v float64
-		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
 			return nil, p.errorf(t, "bad number %q", t.text)
 		}
 		return numLit(v), nil

@@ -50,6 +50,9 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	for _, num := range malformedNumbers {
+		f.Add("qreg q[1];\nrz(" + num + ") q[0];\n")
+	}
 	for _, s := range corpusFiles(f) {
 		f.Add(s)
 	}

@@ -137,6 +137,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// malformedNumbers are number tokens the lexer produces but that are not
+// numbers; each must be rejected, not read up to its first bad character
+// (rz(1.2.3) must not parse as rz(1.2)).
+var malformedNumbers = []string{"1.2.3", "1..5", "..5", ".", "1e", "1e+", "2.5e-", "1.e.5", "3e5.1", "1e999"}
+
+func TestParseRejectsMalformedNumbers(t *testing.T) {
+	for _, num := range malformedNumbers {
+		src := "qreg q[1];\nrz(" + num + ") q[0];\n"
+		if c, err := Parse(src); err == nil {
+			t.Errorf("rz(%s) parsed as rz(%v)", num, c.Ops[0].Params[0])
+		}
+	}
+	// Every well-formed spelling still reads its exact value.
+	for _, tc := range []struct {
+		num  string
+		want float64
+	}{
+		{"1.", 1}, {".5", 0.5}, {"00.25", 0.25}, {"1e3", 1000}, {"1E+3", 1000}, {"2.5e-1", 0.25},
+		{"0.10000000000000001", 0.1}, {"3.1415926535897931", math.Pi},
+	} {
+		c, err := Parse("qreg q[1];\nrz(" + tc.num + ") q[0];\n")
+		if err != nil {
+			t.Errorf("rz(%s): %v", tc.num, err)
+			continue
+		}
+		if got := c.Ops[0].Params[0]; math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("rz(%s) = %v, want %v", tc.num, got, tc.want)
+		}
+	}
+}
+
 func TestWriteParseRoundTrip(t *testing.T) {
 	c := circuit.New(3)
 	c.H(0)
