@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race verify verify-full bench bench-smoke bench-pipeline bench-fidelity cache-smoke serve-smoke corpus-smoke fidelity-smoke bench-corpus bench-serve fmt-check lint lint-ignores lint-smoke
+.PHONY: build vet test test-race verify verify-full bench bench-smoke cache-smoke serve-smoke corpus-smoke fidelity-smoke fmt-check lint lint-ignores lint-smoke
 
-# Packages holding the hot-path benchmarks recorded in BENCH_synth.json:
+# Packages holding the hot-path micro-benchmarks `make bench` runs:
 # objective/gradient evaluation and synthesis (synth), gate-apply kernels
 # (linalg), cached-vs-cold synthesis (ucache), the simulator and noise
 # engines, the partitioner scan, plus the dual annealer behind
@@ -63,19 +63,18 @@ verify: fmt-check vet lint build test-race
 verify-full: vet lint build
 	$(GO) test -race -timeout 30m ./...
 
-# `make bench` refreshes the "after" section of BENCH_synth.json (the
-# machine-readable perf trajectory across PRs); earlier sections are left
-# in place for comparison. BENCH_SECTION overrides the section name.
-BENCH_SECTION ?= after
-
+# `make bench` runs the hot-path micro-benchmarks and prints their
+# results. The end-to-end numbers (latency, throughput, CNOT ratio,
+# ensemble TVD) come from questbench (questbench/BENCHMARK.md).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -out BENCH_synth.json -section $(BENCH_SECTION)
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 
-# One-iteration compile-and-run pass over every benchmark; CI uses it to
-# catch kernel/benchmark regressions without paying for a full bench run.
+# One-iteration compile-and-run pass over every benchmark, including the
+# pipeline's ε-sweep and selection benchmarks and the fidelity
+# estimator's; CI uses it to catch kernel/benchmark regressions without
+# paying for a full bench run.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) ./internal/pipeline
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) ./internal/pipeline ./internal/fidelity
 
 # `make cache-smoke` exercises the disk-backed synthesis cache across two
 # real processes: a cold run populates the journal in a temp dir, then a
@@ -131,15 +130,22 @@ serve-smoke:
 	echo "serve-smoke: kill -9 mid-job recovered to a byte-identical result"
 
 # `make corpus-smoke` compiles the committed big-circuit corpus
-# (examples/circuits/corpus) twice through the batch driver:
-# pass 1 must finish with zero degradations, pass 2 must be served
-# entirely from the warm shared synthesis cache (hits > 0, misses = 0),
-# and no circuit may come out with more CNOTs than it went in with
-# (approx_cnots <= cnots on every per-circuit line).
-# -samples 4 keeps it CI-cheap; the full numbers come from bench-corpus.
+# (examples/circuits/corpus) twice through the batch driver. The
+# per-circuit `corpus <file> pass=N ...` lines, wall_ns stripped, must
+# match examples/golden/corpus-smoke.golden byte for byte (they do not
+# depend on -parallelism or -jobs, so a change to any circuit's blocks,
+# CNOTs or ensemble size M needs the golden re-recorded with a stated
+# reason). Pass 1 must finish with zero degradations, pass 2 must be
+# served entirely from the warm shared synthesis cache (hits > 0,
+# misses = 0), and no circuit may come out with more CNOTs than it went
+# in with (approx_cnots <= cnots on every per-circuit line).
+# -samples 4 keeps it CI-cheap.
 corpus-smoke:
 	@out=$$($(GO) run ./cmd/quest -corpus examples/circuits/corpus -passes 2 -samples 4) || exit 1; \
 	echo "$$out" | grep '^corpus-total'; \
+	echo "$$out" | grep -E '^corpus [^ ]+ pass=' | sed 's/ wall_ns=[0-9]*$$//' | \
+		diff -u examples/golden/corpus-smoke.golden - || \
+		{ echo "corpus-smoke: per-circuit results diverged from the golden"; exit 1; }; \
 	echo "$$out" | awk '/^corpus [^ ]+ pass=/ { c = a = -1; \
 		for (i = 1; i <= NF; i++) { split($$i, kv, "="); \
 			if (kv[1] == "cnots") c = kv[2] + 0; if (kv[1] == "approx_cnots") a = kv[2] + 0 } \
@@ -151,35 +157,6 @@ corpus-smoke:
 	echo "$$out" | grep '^corpus-total' | grep 'pass=2 ' | \
 		grep -q 'degradations=0 cache_hits=[1-9][0-9]* cache_misses=0 ' || \
 		{ echo "corpus-smoke: pass 2 was not served entirely from the warm shared cache"; exit 1; }
-
-# `make bench-corpus` records the cross-circuit scheduling comparison in
-# BENCH_corpus.json: "staged-serial" models the pre-batch driver (one
-# quest invocation per file — serial, staged pipeline, cold private
-# cache per compilation), "overlap" is the batch driver (concurrent
-# circuits, shared scheduler + one shared synthesis cache).
-# The workload is two passes over the corpus (the iterative
-# compile-inspect-recompile loop the driver exists for): within a pass
-# the shared cache deduplicates blocks across circuits, and across
-# passes it keeps serving warm — the per-invocation driver starts cold
-# every time, which is exactly the architecture gap being measured.
-bench-corpus:
-	$(GO) run ./cmd/quest -corpus examples/circuits/corpus -corpus-mode staged-serial -passes 2 | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -corpus -out BENCH_corpus.json -section staged-serial
-	$(GO) run ./cmd/quest -corpus examples/circuits/corpus -corpus-mode overlap -passes 2 | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -corpus -out BENCH_corpus.json -section overlap
-
-# `make bench-serve` records questd's serving behaviour under load into
-# BENCH_serve.json: latency percentiles/histogram plus shed and retry
-# counters from a concurrent batch against a small queue.
-bench-serve:
-	@dir=$$(mktemp -d); pid=; trap 'kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/questd" ./cmd/questd || exit 1; \
-	$(GO) build -o "$$dir/questload" ./cmd/questload || exit 1; \
-	"$$dir/questd" -dir "$$dir/data" -addr 127.0.0.1:0 -addr-file "$$dir/addr" -queue-cap 8 \
-		>"$$dir/questd.log" 2>&1 & pid=$$!; \
-	for i in $$(seq 50); do [ -s "$$dir/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$dir/addr" ] || { echo "bench-serve: questd never listened"; cat "$$dir/questd.log"; exit 1; }; \
-	"$$dir/questload" -addr @"$$dir/addr" -n 32 -c 16 -algo qft -qubits 5 -out BENCH_serve.json
 
 # `make fidelity-smoke` pins the objective refactor's compatibility
 # contract across a real CLI run: with -objective cnot the quest output
@@ -193,25 +170,6 @@ fidelity-smoke:
 	$(GO) run ./cmd/quest -algo tfim -n 4 -objective fidelity:manila >/dev/null || \
 		{ echo "fidelity-smoke: fidelity:manila run failed"; exit 1; }; \
 	echo "fidelity-smoke: cnot output bit-identical to the pre-objective golden; fidelity:manila ran clean"
-
-# `make bench-fidelity` records the noise-aware objective's cost into the
-# "fidelity" section of BENCH_synth.json: the ESP estimator in exact and
-# log-domain form, and a full selection-stage Reselect under the cnot vs
-# fidelity objectives (the marginal price of noise-aware selection).
-bench-fidelity:
-	$(GO) test -bench='^(BenchmarkEstimate|BenchmarkLogEstimate|BenchmarkSelectionCNOT|BenchmarkSelectionFidelity)$$' \
-		-benchmem -run=^$$ ./internal/fidelity ./internal/pipeline | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -out BENCH_synth.json -section fidelity
-
-# `make bench-pipeline` records the ε-sweep artifact-reuse speedup in
-# BENCH_pipeline.json: "full-rerun" re-runs the whole pipeline per sweep
-# point (what every sweep paid before the stage refactor), "artifact-reuse"
-# synthesizes once and re-runs only the selection stage per point.
-bench-pipeline:
-	$(GO) test -bench=BenchmarkEpsilonSweepFull$$ -benchmem -run=^$$ ./internal/pipeline | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -out BENCH_pipeline.json -section full-rerun
-	$(GO) test -bench=BenchmarkEpsilonSweepReselect$$ -benchmem -run=^$$ ./internal/pipeline | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -out BENCH_pipeline.json -section artifact-reuse
 
 fmt-check:
 	@out=$$(gofmt -l cmd internal examples *.go); if [ -n "$$out" ]; then \

@@ -5,7 +5,7 @@
 //
 //	quest -in circuit.qasm [-out dir] [flags]
 //	quest -algo tfim -n 4 [-out dir] [flags]
-//	quest -corpus examples/circuits/corpus [-corpus-mode overlap] [flags]
+//	quest -corpus examples/circuits/corpus [flags]
 //
 // With -out unset, a summary table is printed and no files are written.
 //
@@ -13,9 +13,7 @@
 // circuits compile concurrently and all of them share one cross-circuit
 // synthesis scheduler and one synthesis cache, so the machine stays
 // exactly -parallelism blocks busy regardless of how the work is spread
-// across circuits. -corpus-mode staged-serial keeps the historical
-// one-circuit-at-a-time driver as a benchmark baseline (identical
-// results, more wall time).
+// across circuits.
 package main
 
 import (
@@ -65,8 +63,7 @@ func main() {
 		cacheDir  = flag.String("synth-cache-dir", "", "persist the synthesis cache in this directory so warm hits survive across runs (empty = in-memory only)")
 
 		corpusDir   = flag.String("corpus", "", "compile every .qasm file in this directory as one scheduled batch")
-		corpusMode  = flag.String("corpus-mode", experiments.ModeOverlapped, "corpus driver: overlap (concurrent circuits, shared scheduler and cache) or staged-serial (baseline)")
-		jobs        = flag.Int("jobs", 0, "concurrent circuit compilations in corpus overlap mode (0 = min(4, circuits))")
+		jobs        = flag.Int("jobs", 0, "concurrent circuit compilations with -corpus (0 = min(4, circuits))")
 		parallelism = flag.Int("parallelism", 0, "machine-wide synthesis worker slots (0 = NumCPU)")
 		passes      = flag.Int("passes", 1, "corpus compilation passes against the shared cache (2 measures warm-cache serving)")
 	)
@@ -80,7 +77,6 @@ func main() {
 	if *corpusDir != "" {
 		_, err := experiments.RunCorpus(ctx, experiments.CorpusOptions{
 			Dir:        *corpusDir,
-			Mode:       *corpusMode,
 			Jobs:       *jobs,
 			Workers:    *parallelism,
 			Passes:     *passes,

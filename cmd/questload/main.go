@@ -1,14 +1,6 @@
-// Command questload drives a running questd. Two uses:
-//
-// Load mode (default) submits a batch of jobs at a fixed concurrency,
-// polls them to completion, and records the latency distribution plus
-// overload behaviour (429 sheds, submit retries, server counters) into
-// a JSON report:
-//
-//	questload -addr 127.0.0.1:8177 -n 32 -c 8 -out BENCH_serve.json
-//
-// Client mode performs one step each — the building blocks of the
-// serve-smoke recovery check:
+// Command questload is a small client for a running questd. Each mode
+// performs one step — the building blocks of the serve-smoke recovery
+// check:
 //
 //	questload -addr ... -submit -algo ghz -qubits 3   # prints a job id
 //	questload -addr ... -wait j-00000001              # blocks until terminal
@@ -23,9 +15,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/algos"
@@ -45,14 +35,10 @@ func main() {
 		objective = flag.String("objective", "", "per-job selection objective (cnot, fidelity[:<backend>], hybrid:<w>[:<backend>]; empty = server default)")
 		tenant    = flag.String("tenant", "", "tenant attribution for submissions")
 
-		submit = flag.Bool("submit", false, "client mode: submit one job and print its id")
-		wait   = flag.String("wait", "", "client mode: poll this job id until terminal (exit 0 only on done)")
-		fetch  = flag.String("fetch", "", "client mode: print this job's result JSON")
-
-		n       = flag.Int("n", 32, "load mode: jobs to submit")
-		conc    = flag.Int("c", 8, "load mode: submission concurrency")
+		submit  = flag.Bool("submit", false, "submit one job and print its id")
+		wait    = flag.String("wait", "", "poll this job id until terminal (exit 0 only on done)")
+		fetch   = flag.String("fetch", "", "print this job's result JSON")
 		timeout = flag.Duration("timeout", 5*time.Minute, "overall driver deadline")
-		out     = flag.String("out", "BENCH_serve.json", "load mode: JSON report path")
 	)
 	flag.Parse()
 
@@ -69,7 +55,7 @@ func main() {
 
 	switch {
 	case *submit:
-		j, _, err := cl.submit(req)
+		j, err := cl.submit(req)
 		if err != nil {
 			fatal(err)
 		}
@@ -90,9 +76,7 @@ func main() {
 		}
 		os.Stdout.Write(body)
 	default:
-		if err := runLoad(cl, req, *n, *conc, *out); err != nil {
-			fatal(err)
-		}
+		fatal(fmt.Errorf("one of -submit, -wait or -fetch is required"))
 	}
 }
 
@@ -133,29 +117,29 @@ type client struct {
 }
 
 // submit posts one job, retrying politely on 429 (honouring
-// Retry-After) and reporting how many sheds it absorbed.
-func (cl *client) submit(req serve.SubmitRequest) (jobs.Job, int, error) {
+// Retry-After).
+func (cl *client) submit(req serve.SubmitRequest) (jobs.Job, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return jobs.Job{}, 0, err
+		return jobs.Job{}, err
 	}
 	sheds := 0
 	for {
 		resp, err := http.Post(cl.base+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
-			return jobs.Job{}, sheds, err
+			return jobs.Job{}, err
 		}
 		switch resp.StatusCode {
 		case http.StatusAccepted:
 			var j jobs.Job
 			err := json.NewDecoder(resp.Body).Decode(&j)
 			resp.Body.Close()
-			return j, sheds, err
+			return j, err
 		case http.StatusTooManyRequests:
 			resp.Body.Close()
 			sheds++
 			if time.Now().After(cl.deadline) {
-				return jobs.Job{}, sheds, fmt.Errorf("driver deadline exceeded while shed (%d times)", sheds)
+				return jobs.Job{}, fmt.Errorf("driver deadline exceeded while shed (%d times)", sheds)
 			}
 			wait := time.Second
 			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
@@ -165,7 +149,7 @@ func (cl *client) submit(req serve.SubmitRequest) (jobs.Job, int, error) {
 		default:
 			msg, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			return jobs.Job{}, sheds, fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(msg))
+			return jobs.Job{}, fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(msg))
 		}
 	}
 }
@@ -210,154 +194,4 @@ func (cl *client) fetchResult(id string) ([]byte, error) {
 		return nil, fmt.Errorf("result %s: %s: %s", id, resp.Status, bytes.TrimSpace(body))
 	}
 	return body, nil
-}
-
-func (cl *client) health() (jobs.Stats, error) {
-	resp, err := http.Get(cl.base + "/healthz")
-	if err != nil {
-		return jobs.Stats{}, err
-	}
-	defer resp.Body.Close()
-	var st jobs.Stats
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
-// report is the BENCH_serve.json schema.
-type report struct {
-	Jobs        int   `json:"jobs"`
-	Concurrency int   `json:"concurrency"`
-	Done        int   `json:"done"`
-	Failed      int   `json:"failed"`
-	Sheds       int   `json:"sheds_429"`
-	WallMS      int64 `json:"wall_ms"`
-
-	Latency   latencySummary `json:"latency_ms"`
-	Histogram []histoBucket  `json:"histogram_ms"`
-	Server    jobs.Counters  `json:"server_counters"`
-}
-
-type latencySummary struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-	Max float64 `json:"max"`
-}
-
-type histoBucket struct {
-	LE    float64 `json:"le"` // upper bound, milliseconds (+Inf encoded as -1)
-	Count int     `json:"count"`
-}
-
-// runLoad submits n jobs at the given concurrency, waits them all to a
-// terminal state, and writes the report.
-func runLoad(cl *client, req serve.SubmitRequest, n, conc int, out string) error {
-	if conc < 1 {
-		conc = 1
-	}
-	start := time.Now()
-	type outcome struct {
-		latency time.Duration
-		sheds   int
-		failed  bool
-		err     error
-	}
-	outcomes := make([]outcome, n)
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			j, sheds, err := cl.submit(req)
-			outcomes[i].sheds = sheds
-			if err != nil {
-				outcomes[i].err = err
-				return
-			}
-			fin, err := cl.waitTerminal(j.ID)
-			if err != nil {
-				outcomes[i].err = err
-				return
-			}
-			outcomes[i].latency = time.Since(t0)
-			outcomes[i].failed = fin.State != jobs.Done
-		}(i)
-	}
-	wg.Wait()
-
-	rep := report{Jobs: n, Concurrency: conc, WallMS: time.Since(start).Milliseconds()}
-	var lats []float64
-	for _, o := range outcomes {
-		if o.err != nil {
-			return o.err
-		}
-		rep.Sheds += o.sheds
-		if o.failed {
-			rep.Failed++
-			continue
-		}
-		rep.Done++
-		lats = append(lats, float64(o.latency.Microseconds())/1000)
-	}
-	sort.Float64s(lats)
-	rep.Latency = summarize(lats)
-	rep.Histogram = histogram(lats)
-	if st, err := cl.health(); err == nil {
-		rep.Server = st.Counters
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("questload: %d jobs (%d failed, %d sheds) in %dms: p50 %.1fms p90 %.1fms p99 %.1fms → %s\n",
-		rep.Done+rep.Failed, rep.Failed, rep.Sheds, rep.WallMS,
-		rep.Latency.P50, rep.Latency.P90, rep.Latency.P99, out)
-	return nil
-}
-
-func summarize(sorted []float64) latencySummary {
-	if len(sorted) == 0 {
-		return latencySummary{}
-	}
-	q := func(p float64) float64 {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return latencySummary{
-		P50: q(0.50),
-		P90: q(0.90),
-		P99: q(0.99),
-		Max: sorted[len(sorted)-1],
-	}
-}
-
-// histogram buckets latencies into a fixed exponential grid (ms).
-func histogram(lats []float64) []histoBucket {
-	bounds := []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
-	buckets := make([]histoBucket, len(bounds)+1)
-	for i, b := range bounds {
-		buckets[i].LE = b
-	}
-	buckets[len(bounds)].LE = -1 // +Inf
-	for _, l := range lats {
-		placed := false
-		for i, b := range bounds {
-			if l <= b {
-				buckets[i].Count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			buckets[len(bounds)].Count++
-		}
-	}
-	return buckets
 }

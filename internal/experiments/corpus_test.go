@@ -4,11 +4,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
+	"repro/internal/ucache"
 )
 
 // miniCorpus writes a small 3-circuit corpus so the driver tests stay
@@ -37,10 +40,9 @@ func miniCorpus(t *testing.T) string {
 	return dir
 }
 
-func corpusOpts(dir, mode string) CorpusOptions {
+func corpusOpts(dir string) CorpusOptions {
 	return CorpusOptions{
 		Dir:              dir,
-		Mode:             mode,
 		Workers:          4,
 		Jobs:             3,
 		MaxSamples:       4,
@@ -49,31 +51,62 @@ func corpusOpts(dir, mode string) CorpusOptions {
 	}
 }
 
-// TestCorpusModesProduceIdenticalResults is the corpus-level determinism
-// claim: the batch driver (concurrent circuits on one shared scheduler
-// and cache) must compile every circuit to exactly the same CNOT counts,
-// block structure, sample count, and degradations as the staged-serial
-// baseline — only wall time may differ.
-func TestCorpusModesProduceIdenticalResults(t *testing.T) {
+// TestCorpusBatchMatchesSoloCompilation is the corpus-level determinism
+// claim: the batch driver (three circuits at a time on one shared
+// scheduler pool and one shared cache) must compile every circuit exactly
+// as pipeline.RunCtx compiles it alone, with a cold private cache and no
+// scheduler — same block structure, CNOT counts, sample count,
+// degradations and selected approximations. Only wall time may differ.
+func TestCorpusBatchMatchesSoloCompilation(t *testing.T) {
 	dir := miniCorpus(t)
-	serial, err := RunCorpus(context.Background(), corpusOpts(dir, ModeStagedSerial))
+	opts := corpusOpts(dir)
+	batch, err := RunCorpus(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := RunCorpus(context.Background(), corpusOpts(dir, ModeOverlapped))
+	got := batch.Passes[0].Circuits
+	files, err := filepath.Glob(filepath.Join(dir, "*.qasm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, oc := serial.Passes[0].Circuits, overlap.Passes[0].Circuits
-	if len(sc) != len(oc) {
-		t.Fatalf("circuit counts differ: %d vs %d", len(sc), len(oc))
+	sort.Strings(files)
+	if len(got) != len(files) {
+		t.Fatalf("batch compiled %d circuits, corpus has %d", len(got), len(files))
 	}
-	for i := range sc {
-		a, b := sc[i], oc[i]
-		if a.File != b.File || a.Blocks != b.Blocks || a.CNOTs != b.CNOTs ||
-			a.ApproxCNOTs != b.ApproxCNOTs || a.Samples != b.Samples ||
-			a.Degradations != b.Degradations {
-			t.Errorf("%s: staged-serial %+v != overlapped %+v", a.File, a, b)
+	for i, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := qasm.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := pipeline.RunCtx(context.Background(), c, pipeline.Config{
+			MaxSamples:       opts.MaxSamples,
+			AnnealIterations: opts.AnnealIterations,
+			SynthCache:       ucache.New(opts.CacheSize, 0),
+			Parallelism:      opts.Workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := got[i]
+		if want := strings.TrimSuffix(filepath.Base(f), ".qasm"); b.File != want {
+			t.Fatalf("circuit %d is %s, want %s", i, b.File, want)
+		}
+		if b.Blocks != len(solo.Blocks) || b.CNOTs != c.CNOTCount() ||
+			b.ApproxCNOTs != solo.BestCNOTs() || b.Samples != len(solo.Selected) ||
+			b.Degradations != len(solo.Degradations) {
+			t.Errorf("%s: batch blocks=%d cnots=%d approx=%d samples=%d deg=%d, solo blocks=%d cnots=%d approx=%d samples=%d deg=%d",
+				b.File, b.Blocks, b.CNOTs, b.ApproxCNOTs, b.Samples, b.Degradations,
+				len(solo.Blocks), c.CNOTCount(), solo.BestCNOTs(), len(solo.Selected), len(solo.Degradations))
+			continue
+		}
+		for k, a := range solo.Selected {
+			if qasm.Write(b.selected[k].Circuit) != qasm.Write(a.Circuit) {
+				t.Errorf("%s: selected member %d differs between batch and solo compilation", b.File, k)
+			}
 		}
 	}
 }
@@ -82,7 +115,7 @@ func TestCorpusModesProduceIdenticalResults(t *testing.T) {
 // the shared cache must be served (at least partly) from it.
 func TestCorpusSecondPassHitsCache(t *testing.T) {
 	dir := miniCorpus(t)
-	opts := corpusOpts(dir, ModeOverlapped)
+	opts := corpusOpts(dir)
 	opts.Passes = 2
 	rep, err := RunCorpus(context.Background(), opts)
 	if err != nil {
@@ -103,12 +136,12 @@ func TestCorpusSecondPassHitsCache(t *testing.T) {
 	}
 }
 
-// TestCorpusOutputLines: the greppable corpus lines benchjson and
-// corpus-smoke consume must be present and well-formed.
+// TestCorpusOutputLines: the greppable corpus lines corpus-smoke
+// consumes must be present and well-formed.
 func TestCorpusOutputLines(t *testing.T) {
 	dir := miniCorpus(t)
 	var buf strings.Builder
-	opts := corpusOpts(dir, ModeOverlapped)
+	opts := corpusOpts(dir)
 	opts.Out = &buf
 	if _, err := RunCorpus(context.Background(), opts); err != nil {
 		t.Fatal(err)
@@ -118,7 +151,7 @@ func TestCorpusOutputLines(t *testing.T) {
 		"corpus tfim_5 pass=1 ",
 		"corpus qft_4 pass=1 ",
 		"corpus vqe_5 pass=1 ",
-		"corpus-total mode=overlap pass=1 ",
+		"corpus-total pass=1 ",
 		"degradations=0",
 	} {
 		if !strings.Contains(out, want) {
@@ -127,15 +160,10 @@ func TestCorpusOutputLines(t *testing.T) {
 	}
 }
 
-// TestCorpusRejectsUnknownMode and empty directories.
+// TestCorpusBadInputs: an empty directory is an error.
 func TestCorpusBadInputs(t *testing.T) {
-	dir := miniCorpus(t)
-	opts := corpusOpts(dir, "warp")
-	if _, err := RunCorpus(context.Background(), opts); err == nil {
-		t.Error("unknown mode accepted")
-	}
 	empty := t.TempDir()
-	if _, err := RunCorpus(context.Background(), corpusOpts(empty, ModeOverlapped)); err == nil {
+	if _, err := RunCorpus(context.Background(), corpusOpts(empty)); err == nil {
 		t.Error("empty corpus accepted")
 	}
 }

@@ -20,7 +20,8 @@ import (
 //     stage dominates the cost (Fig. 12) and does not depend on those
 //     parameters, so reselectSweep computes one pipeline.SynthesisArtifact
 //     and re-runs selection per point (Fig. 16, the ensemble-size
-//     ablation). BENCH_pipeline.json records the resulting speedup.
+//     ablation). BenchmarkEpsilonSweepFull/Reselect in internal/pipeline
+//     measure the resulting speedup.
 
 // prepared pairs a workload with its pipeline result.
 type prepared struct {

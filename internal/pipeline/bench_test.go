@@ -9,12 +9,12 @@ import (
 	"repro/internal/fidelity"
 )
 
-// The ε-sweep benchmark pair quantifies the artifact-reuse win recorded
-// in BENCH_pipeline.json: a Fig. 16-style threshold sweep either re-runs
-// the whole pipeline per ε-point (Full) or synthesizes once at the
-// tightest ε and re-runs only the selection stage per point (Reselect).
-// Synthesis dominates the pipeline cost (Fig. 12), so the reuse should
-// win by the sweep's point count, roughly.
+// The ε-sweep benchmark pair quantifies the artifact-reuse win: a
+// Fig. 16-style threshold sweep either re-runs the whole pipeline per
+// ε-point (Full) or synthesizes once at the tightest ε and re-runs only
+// the selection stage per point (Reselect). Synthesis dominates the
+// pipeline cost (Fig. 12), so the reuse should win by the sweep's point
+// count, roughly.
 
 var sweepEpsilons = []float64{0.01, 0.03, 0.05, 0.1, 0.2, 0.4}
 
@@ -44,9 +44,8 @@ func BenchmarkEpsilonSweepFull(b *testing.B) {
 	}
 }
 
-// The selection benchmark pair records what a pluggable objective costs
-// in the selection stage itself (BENCH_synth.json section "fidelity"):
-// one Reselect over a fixed synthesis artifact under the paper's CNOT
+// The selection benchmark pair measures what a pluggable objective costs
+// in the selection stage itself: one Reselect over a fixed synthesis artifact under the paper's CNOT
 // objective vs the device-fidelity objective, whose per-evaluation extra
 // work is the log-domain ESP fold.
 func benchmarkReselect(b *testing.B, obj Objective) {
