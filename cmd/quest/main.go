@@ -13,7 +13,9 @@
 // circuits compile concurrently and all of them share one cross-circuit
 // synthesis scheduler and one synthesis cache, so the machine stays
 // exactly -parallelism blocks busy regardless of how the work is spread
-// across circuits.
+// across circuits. Both modes build the same pipeline configuration from
+// the flags; the single-circuit flags (-in, -algo, -n, -out, -artifact,
+// -backend, -shots) are an error with -corpus.
 package main
 
 import (
@@ -68,47 +70,31 @@ func main() {
 		passes      = flag.Int("passes", 1, "corpus compilation passes against the shared cache (2 measures warm-cache serving)")
 	)
 	flag.Parse()
+	if *corpusDir != "" {
+		// Single-circuit flags would be silently ignored by -corpus.
+		var clash []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "in", "algo", "n", "out", "artifact", "backend", "shots":
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			fmt.Fprintf(os.Stderr, "quest: %s cannot be used with -corpus\n", strings.Join(clash, ", "))
+			os.Exit(2)
+		}
+	}
 
 	// Ctrl-C / SIGTERM cancels the pipeline instead of killing the process
 	// mid-write; a second signal falls through to the default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *corpusDir != "" {
-		_, err := experiments.RunCorpus(ctx, experiments.CorpusOptions{
-			Dir:        *corpusDir,
-			Jobs:       *jobs,
-			Workers:    *parallelism,
-			Passes:     *passes,
-			BlockSize:  *blockSize,
-			Epsilon:    *epsilon,
-			MaxSamples: *samples,
-			Seed:       *seed,
-			CacheSize:  *cacheSize,
-			Timeout:    *timeout,
-			Out:        os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "quest:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	c, name, err := loadCircuit(*inFile, *algo, *qubits)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quest:", err)
-		os.Exit(1)
-	}
-
 	obj, err := quest.SelectionObjective(*objective)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quest:", err)
 		os.Exit(1)
 	}
-
-	fmt.Printf("input %s: %d qubits, %d ops, %d CNOTs, depth %d\n",
-		name, c.NumQubits, c.Size(), c.CNOTCount(), c.Depth())
 
 	var cache *ucache.Cache
 	if *cacheSize > 0 {
@@ -128,8 +114,9 @@ func main() {
 		}()
 	}
 
-	start := time.Now()
-	res, err := quest.ApproximateCtx(ctx, c, quest.Config{
+	// One Config drives both modes, so every pipeline flag means the
+	// same thing for a single circuit and for a corpus.
+	cfg := quest.Config{
 		BlockSize:     *blockSize,
 		Epsilon:       *epsilon,
 		MaxSamples:    *samples,
@@ -142,7 +129,35 @@ func main() {
 		MaxRestarts:   *maxRestarts,
 		AllowDegraded: *degraded,
 		SynthCache:    cache,
-	})
+		Parallelism:   *parallelism,
+	}
+
+	if *corpusDir != "" {
+		_, err := experiments.RunCorpus(ctx, experiments.CorpusOptions{
+			Dir:      *corpusDir,
+			Jobs:     *jobs,
+			Passes:   *passes,
+			Pipeline: cfg,
+			Out:      os.Stdout,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "quest:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	c, name, err := loadCircuit(*inFile, *algo, *qubits)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quest:", err)
+		os.Exit(1)
+	}
+
+	fmt.Printf("input %s: %d qubits, %d ops, %d CNOTs, depth %d\n",
+		name, c.NumQubits, c.Size(), c.CNOTCount(), c.Depth())
+
+	start := time.Now()
+	res, err := quest.ApproximateCtx(ctx, c, cfg)
 	if err != nil {
 		switch {
 		case errors.Is(err, quest.ErrDeadline):

@@ -15,14 +15,25 @@ import (
 	"repro/internal/gate"
 )
 
-// Op is one gate application.
+// MaxQubits caps the width of any circuit that enters the repository
+// from outside: a parsed QASM program or a decoded JSON circuit. Without
+// a cap, a huge declared width would decode fine and then blow up
+// downstream, where stages allocate O(n) index maps and O(2^n)
+// statevectors — as a panic or an OOM kill rather than an error. 64
+// matches the widest simulation path in the repository (the Clifford
+// sampler); statevector stages top out far below it anyway.
+const MaxQubits = 64
+
+// Op is one gate application. Its JSON form is the circuit codec shared
+// by every on-disk store (the synthesis cache journal and questd's
+// synthesis artifacts); float64 parameters round-trip bit-exactly.
 type Op struct {
 	// Name is a registered gate name (see package gate).
-	Name string
+	Name string `json:"name"`
 	// Qubits are the operand qubit indices, in gate-operand order.
-	Qubits []int
+	Qubits []int `json:"qubits"`
 	// Params are the gate's real parameters (nil for fixed gates).
-	Params []float64
+	Params []float64 `json:"params,omitempty"`
 }
 
 // Spec returns the gate spec for the op.
@@ -63,10 +74,11 @@ func (o Op) String() string {
 }
 
 // Circuit is an ordered sequence of gate operations on NumQubits qubits.
-// The zero value is an empty circuit on zero qubits.
+// The zero value is an empty circuit on zero qubits. A decoded circuit
+// is unchecked input until Check accepts it.
 type Circuit struct {
-	NumQubits int
-	Ops       []Op
+	NumQubits int  `json:"n"`
+	Ops       []Op `json:"ops"`
 }
 
 // New returns an empty circuit on n qubits.
@@ -90,6 +102,36 @@ func (c *Circuit) Clone() *Circuit {
 // Append adds an operation, validating the gate name, operand count and
 // qubit ranges.
 func (c *Circuit) Append(name string, qubits []int, params []float64) error {
+	if err := checkOp(name, qubits, params, c.NumQubits); err != nil {
+		return err
+	}
+	c.Ops = append(c.Ops, Op{
+		Name:   name,
+		Qubits: append([]int(nil), qubits...),
+		Params: append([]float64(nil), params...),
+	})
+	return nil
+}
+
+// Check validates a circuit that did not come from Append (one decoded
+// from JSON): its width must lie in [1, MaxQubits] and every op must pass
+// the rules Append enforces.
+func (c *Circuit) Check() error {
+	if c.NumQubits < 1 || c.NumQubits > MaxQubits {
+		return fmt.Errorf("circuit: width %d outside [1, %d]", c.NumQubits, MaxQubits)
+	}
+	for i, o := range c.Ops {
+		if err := checkOp(o.Name, o.Qubits, o.Params, c.NumQubits); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkOp applies the per-op rules shared by Append and Check: a known
+// gate, its operand and parameter counts, qubits in [0, n), no qubit
+// twice.
+func checkOp(name string, qubits []int, params []float64, n int) error {
 	s, err := gate.Lookup(name)
 	if err != nil {
 		return err
@@ -104,8 +146,8 @@ func (c *Circuit) Append(name string, qubits []int, params []float64) error {
 	// duplicate check is a quadratic scan instead of a map: Append is on
 	// the partitioner's per-gate path and must not allocate per op.
 	for i, q := range qubits {
-		if q < 0 || q >= c.NumQubits {
-			return fmt.Errorf("circuit: qubit %d out of range [0,%d)", q, c.NumQubits)
+		if q < 0 || q >= n {
+			return fmt.Errorf("circuit: qubit %d out of range [0,%d)", q, n)
 		}
 		for _, p := range qubits[:i] {
 			if p == q {
@@ -113,11 +155,6 @@ func (c *Circuit) Append(name string, qubits []int, params []float64) error {
 			}
 		}
 	}
-	c.Ops = append(c.Ops, Op{
-		Name:   name,
-		Qubits: append([]int(nil), qubits...),
-		Params: append([]float64(nil), params...),
-	})
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,6 +29,57 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if err := c.Append("cx", []int{0, 1}, nil); err != nil {
 		t.Errorf("valid cx rejected: %v", err)
+	}
+}
+
+// A circuit's JSON form round-trips bit-exactly, and Check applies
+// Append's per-op rules plus the width cap to a decoded circuit.
+func TestJSONRoundTripAndCheck(t *testing.T) {
+	c := New(3)
+	c.H(0)
+	c.CX(0, 2)
+	c.U3(1, 0.1, -math.Pi/3, 1e-17)
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"n":3,"ops":[{"name":"h","qubits":[0]},{"name":"cx","qubits":[0,2]},` +
+		`{"name":"u3","qubits":[1],"params":[0.1,-1.0471975511965979,1e-17]}]}`
+	if string(data) != want {
+		t.Fatalf("encoded %s, want %s", data, want)
+	}
+	var back Circuit
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Check(); err != nil {
+		t.Fatalf("round-tripped circuit rejected: %v", err)
+	}
+	if back.String() != c.String() || math.Float64bits(back.Ops[2].Params[1]) != math.Float64bits(-math.Pi/3) {
+		t.Fatalf("round trip changed the circuit:\n%s\nwant\n%s", back.String(), c.String())
+	}
+	for name, doc := range map[string]string{
+		"zero width":         `{"n":0,"ops":[]}`,
+		"negative width":     `{"n":-1,"ops":[]}`,
+		"beyond MaxQubits":   `{"n":65,"ops":[]}`,
+		"unknown gate":       `{"n":2,"ops":[{"name":"nope","qubits":[0]}]}`,
+		"operand count":      `{"n":2,"ops":[{"name":"cx","qubits":[0]}]}`,
+		"missing params":     `{"n":2,"ops":[{"name":"rz","qubits":[0]}]}`,
+		"extra params":       `{"n":2,"ops":[{"name":"h","qubits":[0],"params":[1]}]}`,
+		"qubit out of range": `{"n":2,"ops":[{"name":"cx","qubits":[0,2]}]}`,
+		"negative qubit":     `{"n":2,"ops":[{"name":"h","qubits":[-1]}]}`,
+		"duplicate qubit":    `{"n":2,"ops":[{"name":"cx","qubits":[1,1]}]}`,
+	} {
+		var bad Circuit
+		if err := json.Unmarshal([]byte(doc), &bad); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s: %s accepted", name, doc)
+		}
+	}
+	if err := (&Circuit{NumQubits: MaxQubits}).Check(); err != nil {
+		t.Errorf("circuit at the width cap rejected: %v", err)
 	}
 }
 

@@ -25,26 +25,17 @@ type CorpusOptions struct {
 	// Jobs is the number of circuits compiled concurrently (default
 	// min(4, number of circuits)).
 	Jobs int
-	// Workers is the machine-wide synthesis slot budget: the size of the
-	// scheduler pool every circuit's block syntheses share (0 = NumCPU).
-	// Results do not depend on Workers or Jobs.
-	Workers int
 	// Passes compiles the corpus this many times against one shared
 	// synthesis cache (default 1); a second pass measures warm-cache
 	// serving and must show hits.
 	Passes int
-	// BlockSize, Epsilon, MaxSamples, AnnealIterations, Seed override the
-	// pipeline defaults (zero keeps each default).
-	BlockSize        int
-	Epsilon          float64
-	MaxSamples       int
-	AnnealIterations int
-	Seed             int64
-	// CacheSize bounds the shared synthesis cache (0 disables caching).
-	CacheSize int
-	// Timeout bounds each circuit's compilation (0 = none); expired runs
-	// degrade rather than fail (AllowDegraded).
-	Timeout time.Duration
+	// Pipeline configures every circuit's compilation. Its Parallelism
+	// is the machine-wide synthesis slot budget (0 = NumCPU): the size of
+	// the scheduler pool every circuit's block syntheses share, which
+	// replaces any Scheduler set here. Its SynthCache, built by the
+	// caller (nil disables caching), is shared by every circuit and pass.
+	// Results do not depend on Parallelism or Jobs.
+	Pipeline pipeline.Config
 	// Out receives the result table and the greppable `corpus ...` lines
 	// `make corpus-smoke` checks; nil means io.Discard.
 	Out io.Writer
@@ -134,14 +125,12 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 		circuits[i] = &qasmCircuit{name: name, circuit: c}
 	}
 
-	// Caching never changes results (strict mode), so sharing one cache
+	// A strict cache (tolerance 0) never changes results, so sharing one
 	// across the batch leaves every circuit's compilation unchanged.
-	var cache *ucache.Cache
-	if opts.CacheSize > 0 {
-		cache = ucache.New(opts.CacheSize, 0)
-	}
-	workers := par.Workers(opts.Workers)
-	pool := par.NewPool(workers)
+	cfg := opts.Pipeline
+	cache := cfg.SynthCache
+	cfg.Parallelism = par.Workers(cfg.Parallelism)
+	cfg.Scheduler = par.NewPool(cfg.Parallelism)
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = 4
@@ -150,7 +139,7 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 		jobs = len(files)
 	}
 
-	report := &CorpusReport{Workers: workers, Jobs: jobs}
+	report := &CorpusReport{Workers: cfg.Parallelism, Jobs: jobs}
 	for pass := 1; pass <= opts.Passes; pass++ {
 		var statsBefore ucache.Stats
 		if cache != nil {
@@ -159,18 +148,6 @@ func RunCorpus(ctx context.Context, opts CorpusOptions) (*CorpusReport, error) {
 		results := make([]CorpusCircuit, len(circuits))
 		compile := func(cctx context.Context, i int) error {
 			qc := circuits[i]
-			cfg := pipeline.Config{
-				BlockSize:        opts.BlockSize,
-				Epsilon:          opts.Epsilon,
-				MaxSamples:       opts.MaxSamples,
-				AnnealIterations: opts.AnnealIterations,
-				Seed:             opts.Seed,
-				Timeout:          opts.Timeout,
-				AllowDegraded:    opts.Timeout > 0,
-				SynthCache:       cache,
-				Parallelism:      workers,
-				Scheduler:        pool,
-			}
 			start := time.Now()
 			res, err := pipeline.RunCtx(cctx, qc.circuit, cfg)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/backend"
 	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/ucache"
@@ -42,70 +43,87 @@ func miniCorpus(t *testing.T) string {
 
 func corpusOpts(dir string) CorpusOptions {
 	return CorpusOptions{
-		Dir:              dir,
-		Workers:          4,
-		Jobs:             3,
-		MaxSamples:       4,
-		AnnealIterations: 100,
-		CacheSize:        256,
+		Dir:  dir,
+		Jobs: 3,
+		Pipeline: pipeline.Config{
+			MaxSamples:       4,
+			AnnealIterations: 100,
+			Parallelism:      4,
+			SynthCache:       ucache.New(256, 0),
+		},
 	}
 }
 
 // TestCorpusBatchMatchesSoloCompilation is the corpus-level determinism
 // claim: the batch driver (three circuits at a time on one shared
 // scheduler pool and one shared cache) must compile every circuit exactly
-// as pipeline.RunCtx compiles it alone, with a cold private cache and no
-// scheduler — same block structure, CNOT counts, sample count,
-// degradations and selected approximations. Only wall time may differ.
+// as pipeline.RunCtx compiles it alone under the same Config, with a cold
+// private cache and no scheduler — same block structure, CNOT counts,
+// sample count, degradations and selected approximations. Only wall time
+// may differ. The second input checks that the batch honours selection
+// settings beyond the defaults (a noise-aware objective, a CX weight).
 func TestCorpusBatchMatchesSoloCompilation(t *testing.T) {
 	dir := miniCorpus(t)
-	opts := corpusOpts(dir)
-	batch, err := RunCorpus(context.Background(), opts)
+	hybrid, err := backend.Objective("hybrid:0.3:manila")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := batch.Passes[0].Circuits
 	files, err := filepath.Glob(filepath.Join(dir, "*.qasm"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(files)
-	if len(got) != len(files) {
-		t.Fatalf("batch compiled %d circuits, corpus has %d", len(got), len(files))
-	}
-	for i, f := range files {
-		src, err := os.ReadFile(f)
+	for _, input := range []struct {
+		name string
+		edit func(*pipeline.Config)
+	}{
+		{"defaults", func(*pipeline.Config) {}},
+		{"hybrid objective, cx weight 0.2", func(cfg *pipeline.Config) {
+			cfg.Objective = hybrid
+			cfg.CXWeight, cfg.CXWeightSet = 0.2, true
+		}},
+	} {
+		opts := corpusOpts(dir)
+		input.edit(&opts.Pipeline)
+		batch, err := RunCorpus(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := qasm.Parse(string(src))
-		if err != nil {
-			t.Fatal(err)
+		got := batch.Passes[0].Circuits
+		if len(got) != len(files) {
+			t.Fatalf("%s: batch compiled %d circuits, corpus has %d", input.name, len(got), len(files))
 		}
-		solo, err := pipeline.RunCtx(context.Background(), c, pipeline.Config{
-			MaxSamples:       opts.MaxSamples,
-			AnnealIterations: opts.AnnealIterations,
-			SynthCache:       ucache.New(opts.CacheSize, 0),
-			Parallelism:      opts.Workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := got[i]
-		if want := strings.TrimSuffix(filepath.Base(f), ".qasm"); b.File != want {
-			t.Fatalf("circuit %d is %s, want %s", i, b.File, want)
-		}
-		if b.Blocks != len(solo.Blocks) || b.CNOTs != c.CNOTCount() ||
-			b.ApproxCNOTs != solo.BestCNOTs() || b.Samples != len(solo.Selected) ||
-			b.Degradations != len(solo.Degradations) {
-			t.Errorf("%s: batch blocks=%d cnots=%d approx=%d samples=%d deg=%d, solo blocks=%d cnots=%d approx=%d samples=%d deg=%d",
-				b.File, b.Blocks, b.CNOTs, b.ApproxCNOTs, b.Samples, b.Degradations,
-				len(solo.Blocks), c.CNOTCount(), solo.BestCNOTs(), len(solo.Selected), len(solo.Degradations))
-			continue
-		}
-		for k, a := range solo.Selected {
-			if qasm.Write(b.selected[k].Circuit) != qasm.Write(a.Circuit) {
-				t.Errorf("%s: selected member %d differs between batch and solo compilation", b.File, k)
+		for i, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := qasm.Parse(string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := opts.Pipeline
+			cfg.SynthCache = ucache.New(256, 0)
+			solo, err := pipeline.RunCtx(context.Background(), c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := got[i]
+			if want := strings.TrimSuffix(filepath.Base(f), ".qasm"); b.File != want {
+				t.Fatalf("%s: circuit %d is %s, want %s", input.name, i, b.File, want)
+			}
+			if b.Blocks != len(solo.Blocks) || b.CNOTs != c.CNOTCount() ||
+				b.ApproxCNOTs != solo.BestCNOTs() || b.Samples != len(solo.Selected) ||
+				b.Degradations != len(solo.Degradations) {
+				t.Errorf("%s: %s: batch blocks=%d cnots=%d approx=%d samples=%d deg=%d, solo blocks=%d cnots=%d approx=%d samples=%d deg=%d",
+					input.name, b.File, b.Blocks, b.CNOTs, b.ApproxCNOTs, b.Samples, b.Degradations,
+					len(solo.Blocks), c.CNOTCount(), solo.BestCNOTs(), len(solo.Selected), len(solo.Degradations))
+				continue
+			}
+			for k, a := range solo.Selected {
+				if qasm.Write(b.selected[k].Circuit) != qasm.Write(a.Circuit) {
+					t.Errorf("%s: %s: selected member %d differs between batch and solo compilation", input.name, b.File, k)
+				}
 			}
 		}
 	}

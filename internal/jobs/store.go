@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -16,7 +15,7 @@ import (
 
 // store is the content-addressed artifact store: every completed
 // synthesis lands as one pipeline.SynthesisArtifact file whose name is
-// the hash of the canonical QASM plus every synthesis-side Config field.
+// the hash of the canonical QASM plus the pipeline's synthesis key.
 // A resubmitted circuit — or an M/CXWeight re-sweep of one — addresses
 // the same file and becomes a Reselect instead of a full run; a result
 // recomputed from the store after a restart is bit-identical to the one
@@ -34,16 +33,12 @@ func openStore(dir string) (*store, error) {
 }
 
 // artifactKey content-addresses a synthesis: the canonical QASM and the
-// resolved synthesis-side Config fields (the same fields as the
-// pipeline's synthKey — ε included, so a key hit reselects
+// pipeline's resolved synthesis key (ε included, so a key hit reselects
 // bit-identically to a fresh run at the request's own settings).
 func artifactKey(canonicalQASM string, cfg pipeline.Config) string {
-	cfg = cfg.Resolved()
 	h := sha256.New()
 	io.WriteString(h, canonicalQASM)
-	fmt.Fprintf(h, "|bs=%d,eps=%x,beam=%d,restarts=%d,keep=%d,seed=%d,maxrestarts=%d",
-		cfg.BlockSize, math.Float64bits(cfg.Epsilon), cfg.SynthBeam,
-		cfg.SynthRestarts, cfg.SynthKeepPerDepth, cfg.Seed, cfg.MaxRestarts)
+	io.WriteString(h, "|"+cfg.SynthKey())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -188,6 +188,12 @@ func (c Config) synthKey() string {
 		c.SynthKeepPerDepth, c.Seed, c.MaxRestarts)
 }
 
+// SynthKey returns synthKey of the resolved Config: the fingerprint of
+// every field the candidate harvest depends on. Content addresses of
+// stored SynthesisArtifacts (questd's artifact store) hash it instead of
+// restating those fields.
+func (c Config) SynthKey() string { return c.Resolved().synthKey() }
+
 // selectKey fingerprints the Config fields that invalidate a
 // SelectionArtifact beyond its input SynthesisArtifact. The objective
 // spec is part of the key — switching objectives must re-run selection —

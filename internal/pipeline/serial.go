@@ -8,26 +8,26 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/partition"
-	"repro/internal/qasm"
 	"repro/internal/sim"
 	"repro/internal/synth"
 )
 
-// The on-disk SynthesisArtifact encoding: JSON with circuits as OpenQASM
-// 2.0 (the writer prints parameters with %.17g, so float64 round-trips
-// bit-exactly) and distances as plain JSON numbers (encoding/json emits
-// the shortest representation that round-trips a float64 exactly).
-// Version 2 stores each block's circuit and its raw synthesis harvest
+// The on-disk SynthesisArtifact encoding: JSON whose circuits and
+// candidates use their own JSON forms (circuit.Circuit's op lists and
+// synth.Candidate, the codec the synthesis cache journal also writes).
+// encoding/json emits the shortest representation that round-trips a
+// float64 exactly, so parameters and distances reload bit-identically.
+// Version 3 stores each block's circuit and its raw synthesis harvest
 // only. Everything else is a deterministic function of those and is
 // rebuilt, never stored: the block unitaries and the pruned candidate
 // lists on load (finishBlock over the harvest filtered at the artifact's
 // threshold, or the exact-only set for a block with no harvest), and the
 // pair tables in each selection. A loaded artifact therefore Reselects
-// bit-identically to the artifact it was saved from. Version 1 files also
-// stored the pruned lists under "candidates"; they still load, and that
-// field is ignored.
+// bit-identically to the artifact it was saved from. Any other version
+// (the QASM-text versions 1 and 2 included) fails to load; questd's
+// artifact store treats that as a miss and re-synthesizes.
 
-const synthArtifactVersion = 2
+const synthArtifactVersion = 3
 
 // maxBlockWidth is the widest block a loaded artifact may hold. Loading
 // builds a 2ⁿ×2ⁿ unitary per block, so without a bound a few corrupted
@@ -35,67 +35,48 @@ const synthArtifactVersion = 2
 // anywhere near this wide.
 const maxBlockWidth = 8
 
-type candJSON struct {
-	QASM     string  `json:"qasm"`
-	Distance float64 `json:"distance"`
-	CNOTs    int     `json:"cnots"`
-}
-
 type blockJSON struct {
-	Qubits []int  `json:"qubits"`
-	QASM   string `json:"qasm"`
+	Qubits  []int           `json:"qubits"`
+	Circuit circuit.Circuit `json:"circuit"`
 	// Raw is the unpruned harvest; empty for degraded blocks.
-	Raw []candJSON `json:"raw,omitempty"`
+	Raw []synth.Candidate `json:"raw,omitempty"`
 }
 
 type synthArtifactJSON struct {
-	Version      int           `json:"version"`
-	Key          string        `json:"key"`
-	PartitionKey string        `json:"partition_key"`
-	BlockSize    int           `json:"block_size"`
-	Epsilon      float64       `json:"epsilon"`
-	ThresholdCap float64       `json:"threshold_cap"`
-	Seed         int64         `json:"seed"`
-	Threshold    float64       `json:"threshold"`
-	Original     string        `json:"original"`
-	Blocks       []blockJSON   `json:"blocks"`
-	Degradations []Degradation `json:"degradations,omitempty"`
-	ElapsedNS    int64         `json:"elapsed_ns"`
-	PartElapsed  int64         `json:"partition_elapsed_ns"`
+	Version      int             `json:"version"`
+	Key          string          `json:"key"`
+	PartitionKey string          `json:"partition_key"`
+	BlockSize    int             `json:"block_size"`
+	Epsilon      float64         `json:"epsilon"`
+	ThresholdCap float64         `json:"threshold_cap"`
+	Seed         int64           `json:"seed"`
+	Threshold    float64         `json:"threshold"`
+	Original     circuit.Circuit `json:"original"`
+	Blocks       []blockJSON     `json:"blocks"`
+	Degradations []Degradation   `json:"degradations,omitempty"`
+	ElapsedNS    int64           `json:"elapsed_ns"`
+	PartElapsed  int64           `json:"partition_elapsed_ns"`
 }
 
-func encodeCands(cands []synth.Candidate) []candJSON {
-	out := make([]candJSON, len(cands))
+// checkCands rejects a block's raw harvest if any candidate is not a
+// valid circuit of the block's width.
+func checkCands(cands []synth.Candidate, width int) error {
 	for i, c := range cands {
-		out[i] = candJSON{QASM: qasm.Write(c.Circuit), Distance: c.Distance, CNOTs: c.CNOTs}
-	}
-	return out
-}
-
-// decodeCands parses a block's raw harvest, rejecting any candidate whose
-// width is not the block's.
-func decodeCands(cands []candJSON, width int) ([]synth.Candidate, error) {
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	out := make([]synth.Candidate, len(cands))
-	for i, c := range cands {
-		circ, err := qasm.Parse(c.QASM)
-		if err != nil {
-			return nil, fmt.Errorf("candidate %d: %w", i, err)
+		if err := c.Check(width); err != nil {
+			return fmt.Errorf("candidate %d: %w", i, err)
 		}
-		if circ.NumQubits != width {
-			return nil, fmt.Errorf("candidate %d: %d qubits, block has %d", i, circ.NumQubits, width)
-		}
-		out[i] = synth.Candidate{Circuit: circ, Distance: c.Distance, CNOTs: c.CNOTs}
 	}
-	return out, nil
+	return nil
 }
 
 // checkBlock rejects a block that no Save could have written: one whose
-// qubit list does not match its circuit's width, is not a set of distinct
-// qubits of the original, or is wider than the artifact's BlockSize.
+// circuit is invalid, whose qubit list does not match its circuit's
+// width, is not a set of distinct qubits of the original, or is wider
+// than the artifact's BlockSize.
 func checkBlock(qubits []int, bc, orig *circuit.Circuit, blockSize int) error {
+	if err := bc.Check(); err != nil {
+		return err
+	}
 	if len(qubits) != bc.NumQubits {
 		return fmt.Errorf("%d qubits listed for a %d-qubit circuit", len(qubits), bc.NumQubits)
 	}
@@ -125,24 +106,24 @@ func (art *SynthesisArtifact) Save(w io.Writer) error {
 		ThresholdCap: art.Cfg.ThresholdCap,
 		Seed:         art.Cfg.Seed,
 		Threshold:    art.Partition.Threshold,
-		Original:     qasm.Write(art.Partition.Original),
+		Original:     *art.Partition.Original,
 		Degradations: art.Degradations,
 		ElapsedNS:    art.Elapsed.Nanoseconds(),
 		PartElapsed:  art.Partition.Elapsed.Nanoseconds(),
 	}
 	for _, ba := range art.Blocks {
 		doc.Blocks = append(doc.Blocks, blockJSON{
-			Qubits: ba.Block.Qubits,
-			QASM:   qasm.Write(ba.Block.Circuit),
-			Raw:    encodeCands(ba.all),
+			Qubits:  ba.Block.Qubits,
+			Circuit: *ba.Block.Circuit,
+			Raw:     ba.all,
 		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)
 }
 
-// LoadSynthesis reads an artifact saved with Save (version 1 or 2). The
-// blocks are checked before anything is built from them; the unitaries
+// LoadSynthesis reads an artifact saved with Save (version 3 only). The
+// circuits are checked before anything is built from them; the unitaries
 // and pruned candidate lists are then rebuilt deterministically, so the
 // result Reselects bit-identically to the saved artifact.
 func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
@@ -150,11 +131,11 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("pipeline: load artifact: %w", err)
 	}
-	if doc.Version != 1 && doc.Version != synthArtifactVersion {
+	if doc.Version != synthArtifactVersion {
 		return nil, fmt.Errorf("pipeline: load artifact: unsupported version %d", doc.Version)
 	}
-	orig, err := qasm.Parse(doc.Original)
-	if err != nil {
+	orig := &doc.Original
+	if err := orig.Check(); err != nil {
 		return nil, fmt.Errorf("pipeline: load artifact: original: %w", err)
 	}
 	cfg := Config{
@@ -183,27 +164,24 @@ func LoadSynthesis(r io.Reader) (*SynthesisArtifact, error) {
 		Elapsed:      time.Duration(doc.ElapsedNS),
 	}
 	blocks := make([]partition.Block, len(doc.Blocks))
-	raws := make([][]synth.Candidate, len(doc.Blocks))
-	for i, bj := range doc.Blocks {
-		bc, err := qasm.Parse(bj.QASM)
-		if err != nil {
+	for i := range doc.Blocks {
+		bj := &doc.Blocks[i]
+		if err := checkBlock(bj.Qubits, &bj.Circuit, orig, cfg.BlockSize); err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
 		}
-		if err := checkBlock(bj.Qubits, bc, orig, cfg.BlockSize); err != nil {
-			return nil, fmt.Errorf("pipeline: load artifact: block %d: %w", i, err)
-		}
-		if raws[i], err = decodeCands(bj.Raw, bc.NumQubits); err != nil {
+		if err := checkCands(bj.Raw, bj.Circuit.NumQubits); err != nil {
 			return nil, fmt.Errorf("pipeline: load artifact: block %d raw: %w", i, err)
 		}
-		blocks[i] = partition.Block{Qubits: bj.Qubits, Circuit: bc}
+		blocks[i] = partition.Block{Qubits: bj.Qubits, Circuit: &bj.Circuit}
 	}
 	for i, blk := range blocks {
-		if raws[i] == nil {
+		raw := doc.Blocks[i].Raw
+		if len(raw) == 0 {
 			art.Blocks = append(art.Blocks, exactOnlyBlock(blk))
 			continue
 		}
-		ba := finishBlock(blk, sim.Unitary(blk.Circuit), filterByThreshold(raws[i], doc.Threshold))
-		ba.all = raws[i]
+		ba := finishBlock(blk, sim.Unitary(blk.Circuit), filterByThreshold(raw, doc.Threshold))
+		ba.all = raw
 		art.Blocks = append(art.Blocks, ba)
 	}
 	art.Partition.Blocks = blocks

@@ -8,28 +8,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/algos"
 	"repro/internal/budget"
+	"repro/internal/circuit"
 	"repro/internal/faultinject"
 	"repro/internal/qasm"
 )
-
-// v1ArtifactPath is an artifact written in the version-1 encoding (which
-// also stored every block's pruned candidate list): tfim on 3 qubits,
-// v1ArtifactConfig at ε = 0.1, with block 1 degraded by fault injection.
-var v1ArtifactPath = filepath.Join("testdata", "artifact_v1.json")
 
 func v1ArtifactConfig(eps float64) Config {
 	return Config{MaxSamples: 4, AnnealIterations: 100, Seed: 3, Epsilon: eps, BlockSize: 2}
 }
 
 // v1SelectionDigests are selectionDigest of the version-1 loader's
-// Reselect of the testdata artifact, at its own ε and a tighter one.
+// Reselect of its testdata artifact (degradedArtifact, saved in the
+// retired QASM encoding), at the artifact's own ε and a tighter one.
+// Every later encoding must reproduce them.
 var v1SelectionDigests = map[float64]string{
 	0.1:  "5ba801466d2bf93c8bb5f30d31943358f3c70fef0d9cdc09cb2b4c655b491a42",
 	0.01: "da4af0ea32ab8397be048aef39f1908aba6c33415a229f7e9d6f15a9766cded9",
@@ -45,103 +41,86 @@ func selectionDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func loadFile(t testing.TB, path string) *SynthesisArtifact {
+// degradedArtifact synthesizes tfim on 3 qubits at v1ArtifactConfig(0.1)
+// with block 1 degraded by fault injection: one block with a raw harvest
+// and one without.
+func degradedArtifact(t testing.TB) *SynthesisArtifact {
 	t.Helper()
-	f, err := os.Open(path)
+	c, err := algos.Generate("tfim", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	art, err := LoadSynthesis(f)
+	restore := faultinject.Set("core.block.1", faultinject.FailAlways(budget.ErrNoConvergence))
+	art, err := Synthesize(context.Background(), c, v1ArtifactConfig(0.1))
+	restore()
 	if err != nil {
-		t.Fatalf("load %s: %v", path, err)
+		t.Fatal(err)
+	}
+	if len(art.Degradations) != 1 || art.Blocks[1].all != nil || len(art.Blocks[1].Candidates) != 1 {
+		t.Fatalf("artifact does not hold one degraded block: %+v", art.Degradations)
 	}
 	return art
 }
 
-func roundTrip(t testing.TB, art *SynthesisArtifact) *SynthesisArtifact {
+func saved(t testing.TB, art *SynthesisArtifact) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := art.Save(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	loaded, err := LoadSynthesis(&buf)
+	return buf.Bytes()
+}
+
+func roundTrip(t testing.TB, art *SynthesisArtifact) *SynthesisArtifact {
+	t.Helper()
+	loaded, err := LoadSynthesis(bytes.NewReader(saved(t, art)))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	return loaded
 }
 
-// A version-1 artifact, degraded block included, loads and Reselects
-// bit-identically to the version-1 loader, to the in-memory artifact it
-// was saved from, and to itself re-saved as version 2.
-func TestLoadVersion1ArtifactReselectsBitIdentically(t *testing.T) {
-	v1 := loadFile(t, v1ArtifactPath)
-	if len(v1.Degradations) != 1 || v1.Blocks[1].all != nil || len(v1.Blocks[1].Candidates) != 1 {
-		t.Fatalf("testdata no longer holds one degraded block: %+v", v1.Degradations)
+// An artifact with a degraded block, saved and loaded, Reselects
+// bit-identically to the in-memory artifact it was saved from and to the
+// digests the version-1 loader recorded for the same artifact.
+func TestLoadedArtifactReselectsBitIdentically(t *testing.T) {
+	mem := degradedArtifact(t)
+	loaded := roundTrip(t, mem)
+	if len(loaded.Degradations) != 1 || loaded.Blocks[1].all != nil || len(loaded.Blocks[1].Candidates) != 1 {
+		t.Fatalf("loaded artifact lost its degraded block: %+v", loaded.Degradations)
 	}
-	c, err := algos.Generate("tfim", 3)
-	if err != nil {
-		t.Fatal(err)
+	for i := range mem.Blocks {
+		if got, want := fmt.Sprint(loaded.Blocks[i].Candidates), fmt.Sprint(mem.Blocks[i].Candidates); got != want {
+			t.Errorf("block %d: rebuilt pruned list differs from the in-memory one", i)
+		}
 	}
-	restore := faultinject.Set("core.block.1", faultinject.FailAlways(budget.ErrNoConvergence))
-	mem, err := Synthesize(context.Background(), c, v1ArtifactConfig(0.1))
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := roundTrip(t, v1)
 	for _, eps := range []float64{0.1, 0.01} {
 		cfg := v1ArtifactConfig(eps)
 		want, err := Reselect(context.Background(), mem, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, art := range map[string]*SynthesisArtifact{"v1": v1, "v2": v2} {
-			got, err := Reselect(context.Background(), art, cfg)
-			if err != nil {
-				t.Fatalf("%s eps=%v: %v", name, eps, err)
-			}
-			sameSelection(t, fmt.Sprintf("%s eps=%v", name, eps), want, got)
-			if d := selectionDigest(got); d != v1SelectionDigests[eps] {
-				t.Errorf("%s eps=%v: selection digest %s, want %s", name, eps, d, v1SelectionDigests[eps])
-			}
+		got, err := Reselect(context.Background(), loaded, cfg)
+		if err != nil {
+			t.Fatalf("eps=%v: %v", eps, err)
 		}
-	}
-	// The loader rebuilds exactly the pruned lists version 1 stored.
-	var doc struct {
-		Blocks []struct {
-			Candidates []candJSON `json:"candidates"`
-		} `json:"blocks"`
-	}
-	raw, err := os.ReadFile(v1ArtifactPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for i, bj := range doc.Blocks {
-		if got := encodeCands(v1.Blocks[i].Candidates); fmt.Sprint(got) != fmt.Sprint(bj.Candidates) {
-			t.Errorf("block %d: rebuilt candidates differ from the stored list", i)
+		sameSelection(t, fmt.Sprintf("eps=%v", eps), want, got)
+		if d := selectionDigest(got); d != v1SelectionDigests[eps] {
+			t.Errorf("eps=%v: selection digest %s, want %s", eps, d, v1SelectionDigests[eps])
 		}
 	}
 }
 
 func TestSaveWritesNoPrunedList(t *testing.T) {
-	var buf bytes.Buffer
-	if err := loadFile(t, v1ArtifactPath).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		Version int                          `json:"version"`
 		Blocks  []map[string]json.RawMessage `json:"blocks"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(saved(t, degradedArtifact(t)), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Version != synthArtifactVersion || synthArtifactVersion != 2 {
-		t.Errorf("saved version %d, encoding version %d, want 2", doc.Version, synthArtifactVersion)
+	if doc.Version != synthArtifactVersion || synthArtifactVersion != 3 {
+		t.Errorf("saved version %d, encoding version %d, want 3", doc.Version, synthArtifactVersion)
 	}
 	for i, b := range doc.Blocks {
 		if _, ok := b["candidates"]; ok {
@@ -150,16 +129,12 @@ func TestSaveWritesNoPrunedList(t *testing.T) {
 	}
 }
 
-// corruptArtifact returns the testdata artifact with edit applied to its
+// corruptArtifact returns the saved artifact with edit applied to its
 // decoded JSON document.
-func corruptArtifact(t *testing.T, edit func(doc map[string]any)) []byte {
+func corruptArtifact(t *testing.T, art []byte, edit func(doc map[string]any)) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(v1ArtifactPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal(art, &doc); err != nil {
 		t.Fatal(err)
 	}
 	edit(doc)
@@ -170,83 +145,118 @@ func corruptArtifact(t *testing.T, edit func(doc map[string]any)) []byte {
 	return out
 }
 
-// wideQASM is a width-qubit program with one gate.
-func wideQASM(width int) string {
-	return fmt.Sprintf("OPENQASM 2.0;\nqreg q[%d];\nh q[0];\n", width)
+// emptyCircuit is the JSON form of a gate-free width-qubit circuit.
+func emptyCircuit(width int) map[string]any {
+	return map[string]any{"n": width, "ops": []any{}}
 }
 
-// Artifacts whose blocks no Save could have written are rejected before
-// any unitary is built from them; the store treats that as a miss.
+// Artifacts no Save could have written are rejected before any unitary
+// is built from them; the store treats that as a miss. Each case breaks
+// exactly one check (in the saved artifact, block 0 is a 2-qubit block
+// with a raw harvest, its and the original's first op is rzz, and each
+// raw candidate's first op is u3).
 func TestLoadSynthesisRejectsInconsistentBlocks(t *testing.T) {
-	block := func(doc map[string]any, i int) map[string]any {
-		return doc["blocks"].([]any)[i].(map[string]any)
+	art := saved(t, degradedArtifact(t))
+	block := func(doc map[string]any) map[string]any {
+		return doc["blocks"].([]any)[0].(map[string]any)
 	}
+	obj := func(m map[string]any, key string) map[string]any { return m[key].(map[string]any) }
+	raw0 := func(doc map[string]any) map[string]any {
+		return obj(block(doc)["raw"].([]any)[0].(map[string]any), "circuit")
+	}
+	ops := func(c map[string]any) []any { return c["ops"].([]any) }
+	firstOp := func(c map[string]any) map[string]any { return ops(c)[0].(map[string]any) }
 	cases := map[string]func(doc map[string]any){
+		"version 1": func(doc map[string]any) { doc["version"] = 1 },
+		"version 2": func(doc map[string]any) { doc["version"] = 2 },
 		"qubit list longer than circuit": func(doc map[string]any) {
-			block(doc, 0)["qubits"] = []int{0, 1, 2}
+			block(doc)["qubits"] = []int{0, 1, 2}
 		},
 		"qubit list shorter than circuit": func(doc map[string]any) {
-			block(doc, 0)["qubits"] = []int{0}
+			block(doc)["qubits"] = []int{0}
 		},
 		"block wider than block size": func(doc map[string]any) {
-			block(doc, 0)["qasm"] = wideQASM(20)
-			block(doc, 0)["qubits"] = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+			obj(block(doc), "circuit")["n"] = 3
+			block(doc)["qubits"] = []int{0, 1, 2}
+			delete(block(doc), "raw")
 		},
 		"block size beyond any loadable block": func(doc map[string]any) {
-			doc["block_size"] = 40
-			doc["original"] = wideQASM(40)
-			qs := make([]int, 40)
+			w := maxBlockWidth + 1
+			qs := make([]int, w)
 			for i := range qs {
 				qs[i] = i
 			}
-			block(doc, 0)["qasm"] = wideQASM(40)
-			block(doc, 0)["qubits"] = qs
-			delete(block(doc, 0), "raw")
+			doc["block_size"] = w
+			obj(doc, "original")["n"] = w
+			obj(block(doc), "circuit")["n"] = w
+			block(doc)["qubits"] = qs
+			delete(block(doc), "raw")
 		},
 		"raw candidate narrower than block": func(doc map[string]any) {
-			raw := block(doc, 0)["raw"].([]any)
-			raw[0].(map[string]any)["qasm"] = wideQASM(1)
+			block(doc)["raw"].([]any)[0].(map[string]any)["circuit"] = emptyCircuit(1)
 		},
 		"raw candidate wider than block": func(doc map[string]any) {
-			raw := block(doc, 0)["raw"].([]any)
-			raw[0].(map[string]any)["qasm"] = wideQASM(3)
+			block(doc)["raw"].([]any)[0].(map[string]any)["circuit"] = emptyCircuit(3)
+		},
+		"raw candidate without a circuit": func(doc map[string]any) {
+			delete(block(doc)["raw"].([]any)[0].(map[string]any), "circuit")
+		},
+		"raw candidate op with an unknown gate": func(doc map[string]any) {
+			firstOp(raw0(doc))["name"] = "nosuchgate"
+		},
+		"raw candidate op with the wrong operand count": func(doc map[string]any) {
+			firstOp(raw0(doc))["qubits"] = []int{0, 1}
+		},
+		"raw candidate op with the wrong parameter count": func(doc map[string]any) {
+			firstOp(raw0(doc))["params"] = []float64{0.1}
+		},
+		"raw candidate op with a repeated qubit": func(doc map[string]any) {
+			ops(raw0(doc))[0] = map[string]any{"name": "cx", "qubits": []int{1, 1}}
+		},
+		"block op qubit outside its circuit": func(doc map[string]any) {
+			firstOp(obj(block(doc), "circuit"))["qubits"] = []int{0, 2}
+		},
+		"original op qubit outside the original": func(doc map[string]any) {
+			firstOp(obj(doc, "original"))["qubits"] = []int{0, 3}
+		},
+		"no original": func(doc map[string]any) {
+			delete(doc, "original")
+		},
+		"original wider than circuit.MaxQubits": func(doc map[string]any) {
+			obj(doc, "original")["n"] = circuit.MaxQubits + 1
 		},
 		"qubit outside the original": func(doc map[string]any) {
-			block(doc, 0)["qubits"] = []int{0, 3}
+			block(doc)["qubits"] = []int{0, 3}
 		},
 		"repeated qubit": func(doc map[string]any) {
-			block(doc, 0)["qubits"] = []int{1, 1}
+			block(doc)["qubits"] = []int{1, 1}
 		},
 		"no blocks": func(doc map[string]any) {
 			doc["blocks"] = []any{}
 		},
 	}
 	for name, edit := range cases {
-		if _, err := LoadSynthesis(bytes.NewReader(corruptArtifact(t, edit))); err == nil {
+		if _, err := LoadSynthesis(bytes.NewReader(corruptArtifact(t, art, edit))); err == nil {
 			t.Errorf("%s: artifact accepted", name)
 		}
 	}
 }
 
+// v2Seed is an artifact in the retired version-2 (QASM text) encoding;
+// it must be rejected.
+const v2Seed = `{"version":2,"block_size":2,"original":"qreg q[2];\ncx q[0],q[1];\n","blocks":[{"qubits":[1,0],"qasm":"qreg q[2];\ncx q[0],q[1];\n"}]}`
+
 // FuzzLoadSynthesis feeds arbitrary bytes to the loader: it never
 // panics, and every artifact it accepts Reselects without error.
 func FuzzLoadSynthesis(f *testing.F) {
-	v1, err := os.ReadFile(v1ArtifactPath)
-	if err != nil {
-		f.Fatal(err)
+	if _, err := LoadSynthesis(strings.NewReader(v2Seed)); err == nil {
+		f.Fatal("version-2 artifact accepted")
 	}
-	art, err := LoadSynthesis(bytes.NewReader(v1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := art.Save(&v2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1)
-	f.Add(v2.Bytes())
-	f.Add([]byte(strings.Replace(v2.String(), `"block_size":2`, `"block_size":1`, 1)))
-	f.Add([]byte(`{"version":2,"block_size":2,"original":"qreg q[2];\ncx q[0],q[1];\n","blocks":[{"qubits":[1,0],"qasm":"qreg q[2];\ncx q[0],q[1];\n"}]}`))
+	v3 := saved(f, degradedArtifact(f))
+	f.Add(v3)
+	f.Add([]byte(strings.Replace(string(v3), `"block_size":2`, `"block_size":1`, 1)))
+	f.Add([]byte(`{"version":3,"block_size":2,"original":{"n":2,"ops":[{"name":"cx","qubits":[0,1]}]},"blocks":[{"qubits":[1,0],"circuit":{"n":2,"ops":[{"name":"cx","qubits":[0,1]}]}}]}`))
+	f.Add([]byte(v2Seed))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return

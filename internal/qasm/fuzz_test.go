@@ -158,7 +158,7 @@ func TestCorpusFilesParseAndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseRejectsOversizedRegisters covers the MaxQubits cap: huge or
+// TestParseRejectsOversizedRegisters covers the circuit.MaxQubits cap: huge or
 // offset-overflowing qreg declarations fail with an error (they used to
 // parse and then panic or OOM in downstream allocations).
 func TestParseRejectsOversizedRegisters(t *testing.T) {

@@ -8,15 +8,6 @@ import (
 	"repro/internal/gate"
 )
 
-// MaxQubits caps the total number of qubits a parsed program may
-// declare. QASM files are external input: without a cap, a huge (or
-// accumulated-to-overflow) qreg declaration would parse fine and then
-// blow up downstream, where stages allocate O(n) index maps and O(2^n)
-// statevectors — as a panic or an OOM kill rather than an error. 64
-// matches the widest simulation path in the repository (the Clifford
-// sampler); statevector stages top out far below it anyway.
-const MaxQubits = 64
-
 // gateAliases maps QASM gate names to the registry names used by the
 // circuit IR where they differ.
 var gateAliases = map[string]string{
@@ -212,8 +203,8 @@ func (p *parser) parseQreg() error {
 	if _, dup := p.regs[name.text]; dup {
 		return p.errorf(name, "duplicate register %q", name.text)
 	}
-	if size > MaxQubits || p.next+size > MaxQubits {
-		return p.errorf(name, "register %q brings the program to %d qubits, limit is %d", name.text, p.next+size, MaxQubits)
+	if size > circuit.MaxQubits || p.next+size > circuit.MaxQubits {
+		return p.errorf(name, "register %q brings the program to %d qubits, limit is %d", name.text, p.next+size, circuit.MaxQubits)
 	}
 	p.regs[name.text] = register{name: name.text, size: size, offset: p.next}
 	p.next += size

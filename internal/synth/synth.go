@@ -21,14 +21,27 @@ import (
 // Candidate is one synthesized circuit for a target unitary, with its
 // Hilbert-Schmidt process distance and CNOT count. Candidates at many
 // different CNOT counts are the raw material of QUEST's approximation
-// space (Sec. 3.5).
+// space (Sec. 3.5). Its JSON form is the one the synthesis cache journal
+// and questd's synthesis artifacts store.
 type Candidate struct {
 	// Circuit implements the approximation on local qubits 0..n-1.
-	Circuit *circuit.Circuit
+	Circuit *circuit.Circuit `json:"circuit"`
 	// Distance is the HS process distance to the target.
-	Distance float64
+	Distance float64 `json:"distance"`
 	// CNOTs is the circuit's CNOT count.
-	CNOTs int
+	CNOTs int `json:"cnots"`
+}
+
+// Check validates a decoded candidate for a width-qubit target: it must
+// carry a circuit of exactly that width that passes circuit.Check.
+func (c Candidate) Check(width int) error {
+	if c.Circuit == nil {
+		return fmt.Errorf("synth: candidate has no circuit")
+	}
+	if c.Circuit.NumQubits != width {
+		return fmt.Errorf("synth: candidate has %d qubits, target has %d", c.Circuit.NumQubits, width)
+	}
+	return c.Circuit.Check()
 }
 
 // Result is the outcome of a synthesis run.

@@ -5,7 +5,9 @@
 // record per line). The first line's payload is a header {v, grid, tol,
 // cap} identifying the journal version and the key-derivation parameters;
 // every following line is one cache entry (key, phase-normalized target,
-// full synthesis result).
+// full synthesis result). Candidates are stored in synth.Candidate's own
+// JSON form, whose circuits are circuit.Circuit's op lists: the same
+// codec questd's synthesis artifacts use.
 //
 // Invalidation rules:
 //
@@ -20,8 +22,12 @@
 //     with the next line. Corruption can only lose entries, never fabricate
 //     a hit: every lookup still verifies the stored target against the
 //     request before returning a result.
-//   - A record that decodes but fails structural validation (dimension
-//     mismatch, unknown gate name, no candidates) is skipped the same way.
+//   - A record that decodes but fails structural validation is skipped the
+//     same way: a target that is not a square 2ⁿ×2ⁿ matrix, no
+//     candidates, or any candidate (Best included) that fails
+//     synth.Candidate.Check(n) — a missing circuit, a width other than
+//     the target's n, an unknown gate, a wrong operand or parameter
+//     count, a qubit out of range or repeated.
 //
 // Writes append one record per insert under the cache lock; a crash can
 // only tear the final line, which the checksum rejects on the next load.
@@ -41,11 +47,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 
-	"repro/internal/circuit"
-	"repro/internal/gate"
 	"repro/internal/journal"
 	"repro/internal/linalg"
 	"repro/internal/synth"
@@ -74,29 +79,15 @@ type diskMatrix struct {
 	Data []float64 `json:"data"`
 }
 
-type diskOp struct {
-	Name   string    `json:"name"`
-	Qubits []int     `json:"qubits"`
-	Params []float64 `json:"params,omitempty"`
-}
-
-type diskCircuit struct {
-	NumQubits int      `json:"n"`
-	Ops       []diskOp `json:"ops"`
-}
-
-type diskCandidate struct {
-	Circuit  diskCircuit `json:"circuit"`
-	Distance float64     `json:"distance"`
-	CNOTs    int         `json:"cnots"`
-}
-
+// diskRecord is one cache entry. Candidates use their own JSON form (the
+// circuit codec of package circuit), so a record is validated by
+// decode before anything is built from it.
 type diskRecord struct {
-	Key         uint64          `json:"key"`
-	Target      diskMatrix      `json:"target"`
-	Best        diskCandidate   `json:"best"`
-	Candidates  []diskCandidate `json:"candidates"`
-	Evaluations int             `json:"evals"`
+	Key         uint64            `json:"key"`
+	Target      diskMatrix        `json:"target"`
+	Best        synth.Candidate   `json:"best"`
+	Candidates  []synth.Candidate `json:"candidates"`
+	Evaluations int               `json:"evals"`
 }
 
 // diskStore is the journal side of a disk-backed cache.
@@ -227,8 +218,8 @@ func encodeRecord(key uint64, target *linalg.Matrix, res synth.Result) diskRecor
 	return diskRecord{
 		Key:         key,
 		Target:      encodeMatrix(target),
-		Best:        encodeCandidate(res.Best),
-		Candidates:  encodeCandidates(res.Candidates),
+		Best:        res.Best,
+		Candidates:  res.Candidates,
 		Evaluations: res.Evaluations,
 	}
 }
@@ -241,72 +232,29 @@ func encodeMatrix(m *linalg.Matrix) diskMatrix {
 	return diskMatrix{Rows: m.Rows, Cols: m.Cols, Data: data}
 }
 
-func encodeCandidates(cs []synth.Candidate) []diskCandidate {
-	out := make([]diskCandidate, len(cs))
-	for i, c := range cs {
-		out[i] = encodeCandidate(c)
-	}
-	return out
-}
-
-func encodeCandidate(c synth.Candidate) diskCandidate {
-	ops := make([]diskOp, len(c.Circuit.Ops))
-	for i, op := range c.Circuit.Ops {
-		ops[i] = diskOp{Name: op.Name, Qubits: op.Qubits, Params: op.Params}
-	}
-	return diskCandidate{
-		Circuit:  diskCircuit{NumQubits: c.Circuit.NumQubits, Ops: ops},
-		Distance: c.Distance,
-		CNOTs:    c.CNOTs,
-	}
-}
-
 // decode validates and reconstructs a journal record. ok is false for any
-// structurally invalid record (wrong dimensions, unknown gate, empty
-// result) — such records are skipped at load.
+// structurally invalid record — a target that is not a square 2ⁿ×2ⁿ
+// matrix, an empty result, or a candidate that is not a valid n-qubit
+// circuit — and such records are skipped at load.
 func (r *diskRecord) decode() (*linalg.Matrix, synth.Result, bool) {
-	if r.Target.Rows <= 0 || r.Target.Cols <= 0 ||
-		len(r.Target.Data) != 2*r.Target.Rows*r.Target.Cols ||
-		len(r.Candidates) == 0 {
+	// rows ≤ len(Data) keeps 2·rows² from overflowing int.
+	rows := r.Target.Rows
+	if rows < 2 || rows&(rows-1) != 0 || rows > len(r.Target.Data) || r.Target.Cols != rows ||
+		len(r.Target.Data) != 2*rows*rows || len(r.Candidates) == 0 {
 		return nil, synth.Result{}, false
 	}
-	target := linalg.New(r.Target.Rows, r.Target.Cols)
-	for i := range target.Data {
-		target.Data[i] = complex(r.Target.Data[2*i], r.Target.Data[2*i+1])
-	}
-	best, ok := r.Best.decode()
-	if !ok {
+	width := bits.TrailingZeros(uint(rows))
+	if r.Best.Check(width) != nil {
 		return nil, synth.Result{}, false
 	}
-	res := synth.Result{Best: best, Evaluations: r.Evaluations}
-	res.Candidates = make([]synth.Candidate, len(r.Candidates))
-	for i := range r.Candidates {
-		if res.Candidates[i], ok = r.Candidates[i].decode(); !ok {
+	for _, c := range r.Candidates {
+		if c.Check(width) != nil {
 			return nil, synth.Result{}, false
 		}
 	}
-	return target, res, true
-}
-
-func (d *diskCandidate) decode() (synth.Candidate, bool) {
-	if d.Circuit.NumQubits <= 0 {
-		return synth.Candidate{}, false
+	target := linalg.New(rows, rows)
+	for i := range target.Data {
+		target.Data[i] = complex(r.Target.Data[2*i], r.Target.Data[2*i+1])
 	}
-	c := circuit.New(d.Circuit.NumQubits)
-	for _, op := range d.Circuit.Ops {
-		spec, err := gate.Lookup(op.Name)
-		if err != nil {
-			return synth.Candidate{}, false
-		}
-		if len(op.Qubits) != spec.Qubits || len(op.Params) != spec.Params {
-			return synth.Candidate{}, false
-		}
-		for _, q := range op.Qubits {
-			if q < 0 || q >= d.Circuit.NumQubits {
-				return synth.Candidate{}, false
-			}
-		}
-		c.Ops = append(c.Ops, circuit.Op{Name: op.Name, Qubits: op.Qubits, Params: op.Params})
-	}
-	return synth.Candidate{Circuit: c, Distance: d.Distance, CNOTs: d.CNOTs}, true
+	return target, synth.Result{Best: r.Best, Candidates: r.Candidates, Evaluations: r.Evaluations}, true
 }
