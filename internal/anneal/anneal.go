@@ -10,6 +10,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/budget"
 	"repro/internal/opt"
@@ -100,9 +102,9 @@ func MinimizeCtx(ctx context.Context, f opt.Objective, lower, upper []float64, o
 	fCur := eval(cur)
 	best := append([]float64(nil), cur...)
 	fBest := fCur
-	qv := o.Visit
-	tq := math.Exp2(qv-1) - 1 // t-dependence constant
-	vis := newVisiting(qv)
+	sched := scheduleFor(o.InitialTemp, o.Visit)
+	vis := sched.vis
+	var steps []step
 
 	cand := make([]float64, d)
 	iterations := 0
@@ -114,7 +116,10 @@ func MinimizeCtx(ctx context.Context, f opt.Objective, lower, upper []float64, o
 		}
 		iterations++
 		sinceRestart++
-		temp := o.InitialTemp * tq / (math.Pow(float64(sinceRestart)+1, qv-1) - 1)
+		if sinceRestart >= len(steps) {
+			steps = sched.upTo(sinceRestart)
+		}
+		temp := steps[sinceRestart].temp
 		if temp < o.InitialTemp*o.RestartTempRatio {
 			// Reannealing restart from a fresh random point.
 			cur = randomPoint()
@@ -125,7 +130,7 @@ func MinimizeCtx(ctx context.Context, f opt.Objective, lower, upper []float64, o
 
 		// Visiting step: perturb every dimension with a Tsallis-
 		// distributed jump, wrapped into the bounds (as SciPy does).
-		vis.setTemp(temp)
+		vis.sigmax = steps[sinceRestart].sigmax
 		for i := 0; i < d; i++ {
 			span := upper[i] - lower[i]
 			if span == 0 {
@@ -214,13 +219,77 @@ func nelderMeadStepScaledCtx(ctx context.Context, f opt.Objective, x0, lower, up
 	return opt.NelderMeadCtx(ctx, f, x0, opt.NelderMeadOptions{InitialStep: step, MaxIterations: 100 * (len(x0) + 1)})
 }
 
+// step is one entry of an annealing schedule: the visiting temperature
+// and the visiting scale sigmax at t iterations since the last restart.
+type step struct {
+	temp, sigmax float64
+}
+
+// schedule is the annealing schedule of one (InitialTemp, Visit) pair.
+// Both entries of step t depend on nothing else, so every MinimizeCtx
+// call with that pair reads one shared table instead of evaluating Pow,
+// Exp, Log and Sqrt on every iteration. The table only ever grows: upTo
+// publishes a longer copy, and a slice handed out earlier stays valid
+// and unchanged.
+type schedule struct {
+	temp0, qv float64
+	vis       visiting // the qv-only factors; sigmax unset
+	mu        sync.Mutex
+	steps     atomic.Pointer[[]step]
+}
+
+// schedules maps a (InitialTemp, Visit) pair, as float bits, to its
+// *schedule.
+var schedules sync.Map
+
+func scheduleFor(temp0, qv float64) *schedule {
+	key := [2]uint64{math.Float64bits(temp0), math.Float64bits(qv)}
+	if s, ok := schedules.Load(key); ok {
+		return s.(*schedule)
+	}
+	s, _ := schedules.LoadOrStore(key, &schedule{temp0: temp0, qv: qv, vis: newVisiting(qv)})
+	return s.(*schedule)
+}
+
+// upTo returns the schedule for t = 0..n at least. Entry t is the
+// reference per-iteration formula, evaluated in the reference order:
+//
+//	temp   = InitialTemp · (2^(qv−1) − 1) / ((t+1)^(qv−1) − 1)
+//	sigmax = visiting.sigmaxAt(temp)
+//
+// so reading it is bit-identical to computing it inside the loop.
+func (s *schedule) upTo(n int) []step {
+	if p := s.steps.Load(); p != nil && len(*p) > n {
+		return *p
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var old []step
+	if p := s.steps.Load(); p != nil {
+		old = *p
+	}
+	if len(old) > n {
+		return old
+	}
+	steps := make([]step, max(n+1, 2*len(old), 64))
+	copy(steps, old)
+	tq := math.Exp2(s.qv-1) - 1 // t-dependence constant
+	for t := len(old); t < len(steps); t++ {
+		temp := s.temp0 * tq / (math.Pow(float64(t)+1, s.qv-1) - 1)
+		steps[t] = step{temp: temp, sigmax: s.vis.sigmaxAt(temp)}
+	}
+	s.steps.Store(&steps)
+	return steps
+}
+
 // visiting is the Tsallis visiting distribution for visiting parameter
 // qv (Tsallis & Stariolo 1996, as implemented in SciPy's dual_annealing
 // VisitingDistribution). The factors that depend only on qv are computed
-// once per run by newVisiting; sigmax, the only temperature-dependent
-// one, once per iteration by setTemp. Every expression is the reference
-// formula evaluated in the reference order, so the draws are
-// bit-identical to recomputing all factors for every coordinate.
+// once per (InitialTemp, Visit) schedule by newVisiting; sigmax, the
+// only temperature-dependent one, once per schedule step by sigmaxAt.
+// Every expression is the reference formula evaluated in the reference
+// order, so the draws are bit-identical to recomputing all factors for
+// every coordinate.
 type visiting struct {
 	qv1, qv3                  float64 // qv-1 and 3-qv
 	factor2, factor3, factor6 float64
@@ -237,11 +306,11 @@ func newVisiting(qv float64) visiting {
 	return visiting{qv1: qv - 1, qv3: 3 - qv, factor2: factor2, factor3: factor3, factor6: factor6}
 }
 
-// setTemp sets the visiting temperature for the following draws.
-func (v *visiting) setTemp(temp float64) {
+// sigmaxAt returns the visiting scale at temperature temp.
+func (v *visiting) sigmaxAt(temp float64) float64 {
 	factor1 := math.Exp(math.Log(temp) / v.qv1)
 	factor4 := math.Sqrt(math.Pi) * factor1 * v.factor2 / (v.factor3 * v.qv3)
-	v.sigmax = math.Exp(-v.qv1 * math.Log(v.factor6/factor4) / v.qv3)
+	return math.Exp(-v.qv1 * math.Log(v.factor6/factor4) / v.qv3)
 }
 
 // step draws one coordinate of the visiting distribution.

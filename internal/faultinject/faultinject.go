@@ -26,6 +26,7 @@
 //	core.block.<i>        one block-synthesis attempt in the pipeline
 //	synth.optimize        one search-tree node about to be optimized
 //	synth.helper.run      one optimizer run on a slot lent to a helper
+//	select.attempt.<a>    one annealing attempt (retry a) of a selection sample
 //	opt.lbfgs             one L-BFGS outer iteration
 //	jobs.enqueue          a job admission into the questd queue
 //	jobs.journal.append   one job-journal record write

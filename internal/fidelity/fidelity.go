@@ -134,15 +134,38 @@ func (p Profile) Estimate(n Counts) float64 {
 // selection annealer sums over, this form neither underflows nor loses
 // the low-order bits that distinguish two candidate ensembles.
 func (p Profile) LogEstimate(n Counts) float64 {
+	return p.LogRates().LogEstimate(n)
+}
+
+// LogRates are a profile's per-gate-class log-success factors,
+// log1p(-rate), computed once for callers that estimate many counts
+// under one profile (the selection annealer scores thousands of choices
+// per run).
+type LogRates struct {
+	oneQubit, twoQubit, measured float64
+}
+
+// LogRates computes the profile's log-success factors.
+func (p Profile) LogRates() LogRates {
+	return LogRates{
+		oneQubit: math.Log1p(-p.OneQubit),
+		twoQubit: math.Log1p(-p.TwoQubit),
+		measured: math.Log1p(-p.Readout) + math.Log1p(-p.SPAM),
+	}
+}
+
+// LogEstimate is Profile.LogEstimate from precomputed factors, bit for
+// bit.
+func (r LogRates) LogEstimate(n Counts) float64 {
 	var l float64
 	if n.OneQubit > 0 {
-		l += float64(n.OneQubit) * math.Log1p(-p.OneQubit)
+		l += float64(n.OneQubit) * r.oneQubit
 	}
 	if n.TwoQubit > 0 {
-		l += float64(n.TwoQubit) * math.Log1p(-p.TwoQubit)
+		l += float64(n.TwoQubit) * r.twoQubit
 	}
 	if n.Measured > 0 {
-		l += float64(n.Measured) * (math.Log1p(-p.Readout) + math.Log1p(-p.SPAM))
+		l += float64(n.Measured) * r.measured
 	}
 	return l
 }

@@ -180,7 +180,8 @@ type Manager struct {
 
 // Open loads (or initializes) the data directory, replays the journal —
 // re-enqueueing queued jobs, restarting crashed ones with a consumed
-// attempt, retaining terminal ones — and starts the worker pool.
+// attempt, retaining terminal ones — deletes the stored artifacts no
+// recovered job references, and starts the worker pool.
 func Open(opts Options) (*Manager, error) {
 	opts.defaults()
 	if opts.Dir == "" {
@@ -207,6 +208,14 @@ func Open(opts Options) (*Manager, error) {
 	m.runCtx, m.stopRun = context.WithCancel(context.Background())
 	m.popCtx, m.stopPop = context.WithCancel(context.Background())
 	if err := m.recover(recs); err != nil {
+		jn.close()
+		return nil, err
+	}
+	keep := map[string]bool{}
+	for _, j := range m.jobs {
+		keep[j.ArtifactKey] = true
+	}
+	if err := st.sweep(keep); err != nil {
 		jn.close()
 		return nil, err
 	}

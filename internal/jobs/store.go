@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -77,6 +78,30 @@ func (s *store) save(key string, art *pipeline.SynthesisArtifact) error {
 	}
 	if err := journal.WriteFile(s.path(key), art.Save); err != nil {
 		return fmt.Errorf("jobs: save artifact: %w", err)
+	}
+	return nil
+}
+
+// sweep deletes every stored artifact whose key is not in keep. Open
+// runs it once recovery has settled the job table, with the keys its
+// jobs reference: nothing can address any other file again. That covers
+// artifacts stored under an older key derivation and those of jobs
+// pruned from the journal (Options.KeepTerminal); without the sweep the
+// directory only grows. Resubmitting a pruned job's circuit after the
+// restart re-synthesizes it.
+func (s *store) sweep(keep map[string]bool) error {
+	names, err := filepath.Glob(filepath.Join(s.dir, "art-*.json"))
+	if err != nil {
+		return fmt.Errorf("jobs: list artifacts: %w", err)
+	}
+	for _, name := range names {
+		key := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "art-"), ".json")
+		if keep[key] {
+			continue
+		}
+		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("jobs: sweep artifact: %w", err)
+		}
 	}
 	return nil
 }

@@ -3,13 +3,16 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algos"
 	"repro/internal/pipeline"
+	"repro/internal/qasm"
 )
 
 // Two concurrent misses of one circuit save the same key at once. Each
@@ -119,5 +122,78 @@ func TestForeignVersionArtifactIsAMiss(t *testing.T) {
 	}
 	if art, err := m.store.load(key); err != nil || art == nil {
 		t.Errorf("the miss did not overwrite the version-2 file with a loadable one: %v, %v", art, err)
+	}
+}
+
+// Open deletes every stored artifact no recovered job references: a
+// file under a foreign key and the artifact of a job pruned by
+// KeepTerminal go, the surviving job's artifact stays (its result is
+// recomputed from it), and a tmp file is left alone. Resubmitting the
+// pruned job's circuit then re-synthesizes it.
+func TestOpenSweepsUnreferencedArtifacts(t *testing.T) {
+	opts := testOpts(t)
+	opts.KeepTerminal = 1
+	m1, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m1.Submit(Request{QASM: testQASM(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m1, first.ID, Done)
+	second, err := m1.Submit(Request{QASM: qasm.Write(algos.GHZ(4))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m1, second.ID, Done)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if first.ArtifactKey == second.ArtifactKey {
+		t.Fatal("both jobs address one artifact")
+	}
+	dir := filepath.Join(opts.Dir, "artifacts")
+	stray := filepath.Join(dir, "art-0123456789abcdef0123456789abcdef.json")
+	tmp := filepath.Join(dir, "art-"+second.ArtifactKey+".json.1.tmp")
+	for _, name := range []string{stray, tmp} {
+		if err := os.WriteFile(name, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "art-"+first.ArtifactKey+".json")); err != nil {
+		t.Fatalf("the first job's artifact is gone before the restart: %v", err)
+	}
+
+	m2 := openManager(t, opts)
+	if _, ok := m2.Get(first.ID); ok {
+		t.Fatalf("job %s survived KeepTerminal 1", first.ID)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"art-" + second.ArtifactKey + ".json", filepath.Base(tmp)}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("artifact dir after restart holds %v, want %v", names, want)
+	}
+	if _, err := m2.Result(ctx, second.ID); err != nil {
+		t.Fatalf("surviving job's result: %v", err)
+	}
+	before := m2.Stats().Counters
+	again, err := m2.Submit(Request{QASM: testQASM(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m2, again.ID, Done)
+	if c := m2.Stats().Counters; c.ArtifactMisses != before.ArtifactMisses+1 || c.ArtifactHits != before.ArtifactHits {
+		t.Errorf("resubmitted pruned circuit: artifact misses/hits %d/%d → %d/%d, want one more miss",
+			before.ArtifactMisses, before.ArtifactHits, c.ArtifactMisses, c.ArtifactHits)
 	}
 }

@@ -13,7 +13,7 @@ package opt
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/budget"
 	"repro/internal/faultinject"
@@ -297,6 +297,19 @@ func NelderMeadCtx(ctx context.Context, f Objective, x0 []float64, opts NelderMe
 		x []float64
 		f float64
 	}
+	// byF orders vertices by f. slices.SortFunc only asks whether
+	// byF(a, b) < 0, exactly sort.Slice's less(a, b), and runs the same
+	// pdqsort, so the permutation matches sort.Slice's without its
+	// per-call reflect swapper.
+	byF := func(a, b vertex) int {
+		switch {
+		case a.f < b.f:
+			return -1
+		case b.f < a.f:
+			return 1
+		}
+		return 0
+	}
 	evals := 0
 	eval := func(x []float64) float64 {
 		evals++
@@ -330,7 +343,7 @@ func NelderMeadCtx(ctx context.Context, f Objective, x0 []float64, opts NelderMe
 		if stopErr = budget.Check(ctx); stopErr != nil {
 			break
 		}
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
+		slices.SortFunc(simplex, byF)
 		if math.Abs(simplex[n].f-simplex[0].f) < opts.FTolerance {
 			res.Converged = true
 			break
@@ -386,7 +399,7 @@ func NelderMeadCtx(ctx context.Context, f Objective, x0 []float64, opts NelderMe
 			}
 		}
 	}
-	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
+	slices.SortFunc(simplex, byF)
 	res.X = append([]float64(nil), simplex[0].x...)
 	res.F = simplex[0].f
 	res.Evaluations = evals

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/algos"
@@ -134,5 +135,29 @@ func BenchmarkLoadSynthesis(b *testing.B) {
 		if _, err := LoadSynthesis(bytes.NewReader(saved)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSelectCorpus is the selection stage of a warm corpus
+// recompile over two corpus artifacts synthesized once: qaoa_14, whose
+// every attempt comes back infeasible, and qft_8, which selects M = 4
+// (one sample decided by its retry). slots is the run's Parallelism: 1
+// anneals every attempt on the calling goroutine, 2 lets the next
+// attempt anneal on the idle slot.
+func BenchmarkSelectCorpus(b *testing.B) {
+	arts := []*SynthesisArtifact{corpusArtifact(b, "qaoa_14"), corpusArtifact(b, "qft_8")}
+	for _, slots := range []int{1, 2} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			stage := SelectionStage(Config{MaxSamples: 4, Seed: 1, Parallelism: slots})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, art := range arts {
+					if _, err := stage.Run(context.Background(), art); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

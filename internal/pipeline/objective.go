@@ -72,13 +72,15 @@ func CNOTObjective() Objective { return cnotObjective{} }
 // approximation error for saved gate error exactly when the device model
 // says the trade wins — the arXiv:2108.12714 selection rule.
 type fidelityObjective struct {
-	spec    string
-	profile fidelity.Profile
+	spec string
+	// rates are the profile's log1p factors, computed when the objective
+	// is built.
+	rates fidelity.LogRates
 }
 
 func (o fidelityObjective) Spec() string { return o.spec }
 func (o fidelityObjective) Cost(s ChoiceStats, info CircuitInfo) float64 {
-	dev := math.Exp(o.profile.LogEstimate(fidelity.Counts{
+	dev := math.Exp(o.rates.LogEstimate(fidelity.Counts{
 		OneQubit: s.Gates1Q,
 		TwoQubit: s.CNOTs,
 		Measured: info.NumQubits,
@@ -98,7 +100,7 @@ func FidelityObjective(spec string, p fidelity.Profile) (Objective, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: objective %q: %w", spec, err)
 	}
-	return fidelityObjective{spec: spec, profile: p}, nil
+	return fidelityObjective{spec: spec, rates: p.LogRates()}, nil
 }
 
 // hybridObjective blends the CNOT and fidelity costs with weight w on the
@@ -124,5 +126,5 @@ func HybridObjective(spec string, w float64, p fidelity.Profile) (Objective, err
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: objective %q: %w", spec, err)
 	}
-	return hybridObjective{spec: spec, w: w, fid: fidelityObjective{profile: p}}, nil
+	return hybridObjective{spec: spec, w: w, fid: fidelityObjective{rates: p.LogRates()}}, nil
 }

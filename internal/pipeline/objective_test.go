@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,6 +116,53 @@ func TestHybridObjectiveCost(t *testing.T) {
 	for _, w := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := HybridObjective("hybrid:x", w, p); err == nil {
 			t.Errorf("weight %v accepted", w)
+		}
+	}
+}
+
+// The fidelity and hybrid objectives compute their log1p rates once,
+// when they are built; Cost must still equal the per-call formula
+// 1 − exp(profile.LogEstimate(counts))·max(0, 1−Σε) bit for bit, over
+// random counts with zero counts included.
+func TestObjectiveCostMatchesPerCallFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range []fidelity.Profile{manilaProfile(), {OneQubit: 1e-3, TwoQubit: 2e-2, Readout: 3e-2, SPAM: 1e-2}} {
+		testCostMatchesPerCallFormula(t, rng, p)
+	}
+}
+
+func testCostMatchesPerCallFormula(t *testing.T, rng *rand.Rand, p fidelity.Profile) {
+	t.Helper()
+	fid, err := FidelityObjective("fidelity:test", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyb, err := HybridObjective("hybrid:0.3:test", 0.3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		// Every fourth count is zero.
+		count := func(n int) int {
+			if rng.Intn(4) == 0 {
+				return 0
+			}
+			return rng.Intn(n)
+		}
+		st := ChoiceStats{CNOTs: count(400), Gates1Q: count(900), EpsSum: 1.2 * rng.Float64()}
+		info := CircuitInfo{NumQubits: count(21), OrigCNOTs: 1 + rng.Intn(400)}
+		approx := 1 - st.EpsSum
+		if approx < 0 {
+			approx = 0
+		}
+		dev := math.Exp(p.LogEstimate(fidelity.Counts{OneQubit: st.Gates1Q, TwoQubit: st.CNOTs, Measured: info.NumQubits}))
+		want := 1 - dev*approx
+		if got := fid.Cost(st, info); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fidelity Cost(%+v, %+v) = %x, want %x", st, info, math.Float64bits(got), math.Float64bits(want))
+		}
+		wantHyb := 0.3*(float64(st.CNOTs)/float64(info.OrigCNOTs)) + (1-0.3)*want
+		if got := hyb.Cost(st, info); math.Float64bits(got) != math.Float64bits(wantHyb) {
+			t.Fatalf("hybrid Cost(%+v, %+v) = %x, want %x", st, info, math.Float64bits(got), math.Float64bits(wantHyb))
 		}
 	}
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
+	"sync"
 
 	"repro/internal/anneal"
 	"repro/internal/budget"
 	"repro/internal/circuit"
+	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -152,75 +156,75 @@ func selectApproximations(ctx context.Context, sa *SynthesisArtifact, cfg Config
 			pairs = pairTables(blocks, cfg.Parallelism)
 		}
 	}
-	// Algorithm 1: the energy for the next sample given the selected set,
-	// with the cost term delegated to the pluggable objective. One
+	// Algorithm 1: the energy for the next sample given the selected set
+	// sel, with the cost term delegated to the pluggable objective. One
 	// annealer-friendly refinement over the paper's pseudocode: an
 	// infeasible choice scores 1 + (Σε − threshold) instead of a flat
 	// 1.0, so the plateau has a slope toward feasibility. Any value > 1
 	// is still strictly worse than every feasible choice (objectives
 	// score feasible choices in [0,1]), so the selection semantics of
-	// Algorithm 1 are unchanged.
-	energy := func(choice []int) float64 {
+	// Algorithm 1 are unchanged. It reads only sel, pairs and tables
+	// fixed before selection starts, so the attempts of one sample may
+	// anneal it concurrently.
+	energy := func(sel [][]int, pairs [][][]float64, choice []int) float64 {
 		st := stats(choice)
 		if st.EpsSum > threshold {
 			return 1.0 + (st.EpsSum - threshold)
 		}
 		cost := obj.Cost(st, info)
-		if len(selected) == 0 {
+		if len(sel) == 0 {
 			return cost
 		}
 		m := 0.0
-		for _, s := range selected {
+		for _, s := range sel {
 			m += similarity(blocks, pairs, choice, s)
 		}
-		m /= float64(len(selected))
+		m /= float64(len(sel))
 		return (1-cfg.CXWeight)*m + cfg.CXWeight*cost
 	}
 
-	sameChoice := func(a, b []int) bool {
-		for i := range a {
-			if a[i] != b[i] {
+	// decides is the fold's rule for one attempt's choice: feasible and
+	// not already in sel.
+	decides := func(sel [][]int, choice []int) bool {
+		if _, epsSum := choiceStats(blocks, choice); epsSum > threshold {
+			return false // nothing feasible found this attempt
+		}
+		for _, prev := range sel {
+			if slices.Equal(choice, prev) {
 				return false
 			}
 		}
 		return true
 	}
 
-	const dupRetries = 2
+	helpers := cfg.Scheduler
+	if helpers == nil && par.Workers(cfg.Parallelism) > 1 {
+		helpers = par.NewPool(par.Workers(cfg.Parallelism) - 1)
+	}
 	var stopErr error
-samples:
 	for s := 0; s < cfg.MaxSamples; s++ {
 		if len(selected) > 0 {
 			needPairs()
 		}
+		// The attempts of sample s read this snapshot only: selected
+		// grows after every helper of the sample has been joined.
+		sel, pairs := selected[:len(selected):len(selected)], pairs
 		var choice []int
-		ok := false
-		for attempt := 0; attempt <= dupRetries; attempt++ {
-			r, aerr := anneal.MinimizeIntsCtx(ctx, energy, sizes, anneal.Options{
+		choice, stopErr = selectSample(ctx, helpers, func(ctx context.Context, attempt int) ([]int, error) {
+			if faultinject.Enabled() {
+				if err := faultinject.Fire(fmt.Sprintf("select.attempt.%d", attempt)); err != nil {
+					return nil, err
+				}
+			}
+			r, err := anneal.MinimizeIntsCtx(ctx, func(choice []int) float64 {
+				return energy(sel, pairs, choice)
+			}, sizes, anneal.Options{
 				MaxIterations: cfg.AnnealIterations,
 				Seed:          cfg.Seed + int64(s)*104729 + int64(attempt)*1299709,
 			})
-			if aerr != nil {
-				stopErr = aerr
-				break samples
-			}
-			choice = r.X
-			if _, epsSum := choiceStats(blocks, choice); epsSum > threshold {
-				continue // nothing feasible found this attempt
-			}
-			dup := false
-			for _, prev := range selected {
-				if sameChoice(choice, prev) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+			return r.X, err
+		}, func(choice []int) bool { return decides(sel, choice) })
+		if choice == nil {
 			// Paper: terminate when the engine keeps returning already
 			// selected (or infeasible) circuits.
 			break
@@ -253,20 +257,10 @@ samples:
 					}
 					cand := append([]int(nil), base...)
 					cand[b] = i
-					if _, epsSum := choiceStats(blocks, cand); epsSum > threshold {
+					if !decides(selected, cand) {
 						continue
 					}
-					dup := false
-					for _, prev := range selected {
-						if sameChoice(cand, prev) {
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
-					}
-					if score := energy(cand); score < bestScore {
+					if score := energy(selected, pairs, cand); score < bestScore {
 						bestScore = score
 						best = cand
 					}
@@ -308,6 +302,76 @@ samples:
 		return out, fmt.Errorf("pipeline: select: %w", stopErr)
 	}
 	return out, nil
+}
+
+// dupRetries is how many more times a sample is annealed, each time
+// from its own fixed seed, after a run returns an infeasible or already
+// selected choice.
+const dupRetries = 2
+
+// selectSample folds the annealing attempts 0..dupRetries of one sample
+// in order: it returns the choice of the first attempt that decides
+// accepts, nil when none does, or the error of the first attempt that
+// failed before one was accepted. run(ctx, a) must depend only on a, so
+// the fold reads the same results in the same order for any number of
+// helpers.
+//
+// While the calling goroutine runs (or waits for) attempt a, attempt a+1
+// anneals on a helper goroutine if helpers has a slot idle right now:
+// TryAcquire, never a wait, so a caller that itself holds a slot cannot
+// deadlock. The caller waits on a helper only for the attempt the fold
+// needs next. Once the sample is decided, or the caller unwinds, every
+// helper still running is cancelled and joined, so none outlives the
+// call. A helper's error or panic belongs to its attempt: it surfaces
+// only if the fold reaches that attempt, a panic re-raised on the
+// calling goroutine as a *par.PanicError. With helpers nil every attempt
+// runs on the caller, which is the sequential fold.
+func selectSample(ctx context.Context, helpers *par.Pool, run func(ctx context.Context, attempt int) ([]int, error), decides func(choice []int) bool) ([]int, error) {
+	type result struct {
+		choice []int
+		err    error
+	}
+	var (
+		results [dupRetries + 1]result
+		done    [dupRetries + 1]chan struct{} // non-nil: the attempt runs on a helper
+		wg      sync.WaitGroup
+	)
+	hctx, cancel := context.WithCancel(ctx)
+	defer wg.Wait()
+	defer cancel()
+	for a := range results {
+		if next := a + 1; next < len(results) && done[next] == nil && helpers != nil && helpers.TryAcquire() {
+			done[next] = make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer helpers.Release()
+				defer close(done[next])
+				defer func() {
+					if v := recover(); v != nil {
+						results[next] = result{err: &par.PanicError{Worker: 1, Index: next, Value: v, Stack: debug.Stack()}}
+					}
+				}()
+				results[next].choice, results[next].err = run(hctx, next)
+			}()
+		}
+		if done[a] != nil {
+			<-done[a]
+		} else {
+			results[a].choice, results[a].err = run(ctx, a)
+		}
+		r := results[a]
+		if pe, ok := r.err.(*par.PanicError); ok {
+			panic(pe)
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		if decides(r.choice) {
+			return r.choice, nil
+		}
+	}
+	return nil, nil
 }
 
 // Assemble rebuilds a full-circuit approximation from a per-block
